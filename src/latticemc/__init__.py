@@ -13,9 +13,9 @@ from .geometry import (LatticeSpec, ModeFunction, Scenario, ScenarioGeometry,
                        scenario_geometry)
 from .optics import (AmplitudeTable, ProbeModel, amplitude_table, cat_phase,
                      prefactor_exponent, steady_amplitude, transient_amplitude)
-from .oracle import (JointState, apply_jump, evolve_nonhermitian,
-                     mott_joint_state, run_script, superfluid_joint_state,
-                     z_marginal)
+from .oracle import (JointState, apply_jump, compare_with_exact,
+                     evolve_nonhermitian, mott_joint_state, run_script,
+                     superfluid_joint_state, z_marginal)
 from .photostats import (PhotonDistribution, cavity_photon_distribution,
                          conditional_photocount_distribution,
                          photocount_distribution)

@@ -23,11 +23,11 @@ from . import photostats
 from .purity import purity_sweep
 from .geometry import LatticeSpec, Scenario, scenario_geometry
 from .optics import ProbeModel, amplitude_table
-from .oracle import run_script, superfluid_joint_state, z_marginal
+from .oracle import compare_with_exact
 from .states import (ZDistribution, load_distribution, mott_distribution,
                      superfluid_atom_number, superfluid_difference)
 from .trajectory import (ClassificationError, NumericalAbort, RunRecord,
-                         exact_distribution, run_trajectory)
+                         run_trajectory)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -349,13 +349,8 @@ def cmd_oracle_check(out_dir: Path | None = None) -> int:
             else:
                 model = ProbeModel(scenario=scenario, kappa=1.0,
                                    u10=1e-4, a0=1.0)
-            jumps = (16.0, 18.5)
-            t_end = 20.0
-            joint = run_script(superfluid_joint_state(spec, n_max=4),
-                               model, spec, jumps, t_end)
-            got = z_marginal(joint, scenario, spec)
-            p0 = superfluid_atom_number(spec)
-            want = exact_distribution(p0, model, jumps, t_end)
+            got, want = compare_with_exact(spec, model, (16.0, 18.5), 20.0,
+                                           n_max=4)
             dev = float(np.abs(got.probabilities - want.probabilities).max())
             worst = max(worst, dev)
             report.append((n_atoms, scenario.value, dev))

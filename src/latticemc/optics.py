@@ -64,13 +64,6 @@ class ProbeModel:
             raise ValueError("z_p is defined for the transmission scenario")
         return self.delta_p / self.u11
 
-    @property
-    def hwhm_z(self) -> float:
-        """Lorentzian half width kappa / u11 in z units (transmission)."""
-        if self.scenario is not Scenario.TRANSMISSION:
-            raise ValueError("hwhm_z is defined for the transmission scenario")
-        return self.kappa / abs(self.u11)
-
 
 @dataclass(frozen=True)
 class AmplitudeTable:

@@ -12,10 +12,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import expm
+from scipy.special import gammaln
 
 from .geometry import LatticeSpec, Scenario, configuration_z, scenario_geometry
 from .optics import ProbeModel
-from .states import ZDistribution
+from .states import (ZDistribution, superfluid_atom_number,
+                     superfluid_difference)
+from .trajectory import exact_distribution
 
 _TAIL_BOUND = 1e-10
 
@@ -54,12 +58,6 @@ class JointState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "JointState":
-        n = self.norm
-        if n <= 0:
-            raise ValueError("cannot normalize the zero state")
-        return replace(self, amplitudes=self.amplitudes / n)
-
     def photon_tail_fraction(self) -> float:
         """Weight fraction sitting in the topmost photon level."""
         w = np.abs(self.amplitudes) ** 2
@@ -69,14 +67,10 @@ class JointState:
 
 def _coherent_column(alpha: complex, n_max: int) -> np.ndarray:
     n = np.arange(n_max + 1)
-    with np.errstate(divide="ignore"):
-        log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n_max + 1)))))
     if alpha == 0:
-        col = np.zeros(n_max + 1, dtype=complex)
-        col[0] = 1.0
-        return col
+        return (n == 0).astype(complex)
     return np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha))
-                  - 0.5 * log_fact)
+                  - 0.5 * gammaln(n + 1))
 
 
 def superfluid_joint_state(spec: LatticeSpec, alpha0: complex = 0.0,
@@ -132,33 +126,25 @@ def _derivative(amp: np.ndarray, delta: np.ndarray, g: np.ndarray,
 
 
 def evolve_nonhermitian(state: JointState, model: ProbeModel,
-                        spec: LatticeSpec, duration: float,
-                        dt: float | None = None) -> JointState:
-    """Advance the unnormalized joint state by `duration` (fixed-step RK4).
+                        spec: LatticeSpec, duration: float) -> JointState:
+    """Advance the unnormalized joint state by `duration` (exact propagator).
 
-    Raises CutoffError when the topmost photon level accumulates more than
-    the allowed tail mass; retry with a larger n_max.
+    One stacked `expm` of every configuration's photon-ladder generator.
+    Raises CutoffError when the topmost photon level holds more than the
+    allowed tail mass; retry with a larger n_max.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
     if duration == 0:
         return state
     delta, g = _config_couplings(state, model, spec)
-    scale = ((np.abs(delta).max(initial=0.0) + model.kappa) * state.n_max
-             + (np.abs(g).max(initial=0.0) + abs(model.eta))
-             * np.sqrt(state.n_max) + 1.0)
-    if dt is None:
-        dt = 0.01 / scale
-    steps = max(1, int(np.ceil(duration / dt)))
-    h = duration / steps
-    amp = state.amplitudes.copy()
-    for _ in range(steps):
-        k1 = _derivative(amp, delta, g, model.eta, model.kappa)
-        k2 = _derivative(amp + 0.5 * h * k1, delta, g, model.eta, model.kappa)
-        k3 = _derivative(amp + 0.5 * h * k2, delta, g, model.eta, model.kappa)
-        k4 = _derivative(amp + h * k3, delta, g, model.eta, model.kappa)
-        amp += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = replace(state, amplitudes=amp)
+    k = state.n_max + 1  # row q*k + j of `cols`: generator of config q on |j>
+    cols = _derivative(np.tile(np.eye(k, dtype=complex), (len(delta), 1)),
+                       np.repeat(delta, k), np.repeat(g, k), model.eta,
+                       model.kappa)
+    prop = expm(cols.reshape(-1, k, k).transpose(0, 2, 1) * duration)
+    out = replace(state, amplitudes=np.einsum("qij,qj->qi", prop,
+                                              state.amplitudes))
     if out.photon_tail_fraction() > _TAIL_BOUND:
         raise CutoffError(f"photon tail fraction {out.photon_tail_fraction():.3g} "
                           f"exceeds {_TAIL_BOUND:g}; enlarge n_max")
@@ -197,14 +183,26 @@ def z_marginal(state: JointState, scenario: Scenario,
 
 
 def run_script(state: JointState, model: ProbeModel, spec: LatticeSpec,
-               jump_times, t_end: float, dt: float | None = None) -> JointState:
-    """Evolve with jumps at the given times, ending at t_end."""
+               jump_times, t_end: float) -> JointState:
+    """Exact-propagator evolution between jumps at jump_times, up to t_end."""
     times = sorted(jump_times)
     if times and times[-1] > t_end:
         raise ValueError("jump times must not exceed t_end")
     now = 0.0
     for ti in times:
-        state = evolve_nonhermitian(state, model, spec, ti - now, dt)
+        state = evolve_nonhermitian(state, model, spec, ti - now)
         state = apply_jump(state)
         now = ti
-    return evolve_nonhermitian(state, model, spec, t_end - now, dt)
+    return evolve_nonhermitian(state, model, spec, t_end - now)
+
+
+def compare_with_exact(spec: LatticeSpec, model: ProbeModel, jump_times,
+                       t_end: float, n_max: int
+                       ) -> tuple[ZDistribution, ZDistribution]:
+    """Oracle and `exact_distribution` z marginals from the superfluid."""
+    joint = run_script(superfluid_joint_state(spec, n_max=n_max), model, spec,
+                       jump_times, t_end)
+    p0 = (superfluid_difference(spec) if model.scenario is Scenario.MINIMUM
+          else superfluid_atom_number(spec))
+    return (z_marginal(joint, model.scenario, spec),
+            exact_distribution(p0, model, jump_times, t_end))

@@ -44,7 +44,6 @@ class TrajectoryState:
     m: int = 0
     t: float = 0.0
     jump_times: tuple[float, ...] = ()
-    log_norm: float = 0.0
 
     @property
     def tau(self) -> float:
@@ -91,7 +90,7 @@ class RunRecord:
 
 
 def _apply_log_factor(state: TrajectoryState, log_factor: np.ndarray
-                      ) -> tuple[np.ndarray, float]:
+                      ) -> np.ndarray:
     """Multiply p(z) by exp(log_factor) in log space and renormalize."""
     p = state.dist.probabilities
     with np.errstate(divide="ignore"):
@@ -101,8 +100,7 @@ def _apply_log_factor(state: TrajectoryState, log_factor: np.ndarray
     if not np.isfinite(peak):
         raise NumericalAbort("all conditional weights suppressed to zero")
     w = np.exp(logp - peak)
-    total = w.sum()
-    return w / total, peak + np.log(total)
+    return w / w.sum()
 
 
 def no_count_step(state: TrajectoryState, dt: float) -> TrajectoryState:
@@ -112,9 +110,9 @@ def no_count_step(state: TrajectoryState, dt: float) -> TrajectoryState:
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    p, logn = _apply_log_factor(state, -state.rates * dt)
+    p = _apply_log_factor(state, -state.rates * dt)
     return replace(state, dist=state.dist.with_probabilities(p),
-                   t=state.t + dt, log_norm=state.log_norm + logn)
+                   t=state.t + dt)
 
 
 def jump(state: TrajectoryState) -> TrajectoryState:
@@ -124,10 +122,9 @@ def jump(state: TrajectoryState) -> TrajectoryState:
         raise RuntimeError("jump on a dark state: all support has alpha_z = 0")
     with np.errstate(divide="ignore"):
         logf = np.where(lam > 0, np.log(np.where(lam > 0, lam, 1.0)), -np.inf)
-    p, logn = _apply_log_factor(state, logf)
+    p = _apply_log_factor(state, logf)
     return replace(state, dist=state.dist.with_probabilities(p),
-                   m=state.m + 1, jump_times=state.jump_times + (state.t,),
-                   log_norm=state.log_norm + logn)
+                   m=state.m + 1, jump_times=state.jump_times + (state.t,))
 
 
 def mc_step(state: TrajectoryState, dt: float, u: float
@@ -167,12 +164,11 @@ def advance(state: TrajectoryState, dt: float, counts: int) -> TrajectoryState:
         with np.errstate(divide="ignore"):
             log_factor = log_factor + counts * np.where(
                 lam > 0, np.log(np.where(lam > 0, lam, 1.0)), -np.inf)
-    p, logn = _apply_log_factor(state, log_factor)
+    p = _apply_log_factor(state, log_factor)
     t_end = state.t + dt
     return replace(state, dist=state.dist.with_probabilities(p),
                    m=state.m + counts, t=t_end,
-                   jump_times=state.jump_times + (t_end,) * counts,
-                   log_norm=state.log_norm + logn)
+                   jump_times=state.jump_times + (t_end,) * counts)
 
 
 def conditional_photon_number(state: TrajectoryState) -> float:

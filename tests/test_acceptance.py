@@ -15,15 +15,14 @@ from scipy.stats import chisquare
 from latticemc.cli import main as cli_main
 from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import ProbeModel, amplitude_table
-from latticemc.oracle import run_script, superfluid_joint_state, z_marginal
+from latticemc.oracle import compare_with_exact
 from latticemc.photostats import photocount_distribution
 from latticemc.purity import CatMixture, density_matrix, purity, purity_sweep
 from latticemc.states import superfluid_atom_number, superfluid_difference
 from latticemc.trajectory import (TrajectoryState, closed_form_distribution,
                                   conditional_photon_number, detect_peaks,
-                                  exact_distribution, fwhm_of_peak, jump,
-                                  no_count_step, predicted_widths,
-                                  run_trajectory)
+                                  fwhm_of_peak, jump, no_count_step,
+                                  predicted_widths, run_trajectory)
 
 SPEC = LatticeSpec(100, 100, 50)
 P0 = superfluid_atom_number(SPEC)
@@ -92,9 +91,9 @@ def test_criterion_1_oracle_equivalence(capsys):
             else:
                 model = ProbeModel(scenario=scenario, kappa=1.0,
                                    u10=1e-4, a0=1.0)
-            joint = run_script(superfluid_joint_state(spec, n_max=4),
-                               model, spec, jumps, t_end)
-            oracle_p = z_marginal(joint, scenario, spec).probabilities
+            oracle, exact = compare_with_exact(spec, model, jumps, t_end,
+                                               n_max=4)
+            oracle_p = oracle.probabilities
 
             # replay the same record through the reduced engine
             table = amplitude_table(model, p0.z_values)
@@ -108,7 +107,6 @@ def test_criterion_1_oracle_equivalence(capsys):
             worst = max(worst, np.abs(st.dist.probabilities - oracle_p).max())
 
             # and through the transient-aware evaluator
-            exact = exact_distribution(p0, model, jumps, t_end)
             worst = max(worst, np.abs(exact.probabilities - oracle_p).max())
     report(capsys, worst < 1e-6, 1,
            f"oracle equivalence, worst |dp| = {worst:.3e} < 1e-6")

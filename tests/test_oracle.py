@@ -4,11 +4,10 @@ import pytest
 from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import ProbeModel, transient_amplitude
 from latticemc.oracle import (CutoffError, JointState, apply_jump,
-                              compositions, evolve_nonhermitian,
-                              mott_joint_state, run_script,
-                              superfluid_joint_state, z_marginal)
+                              compare_with_exact, compositions,
+                              evolve_nonhermitian, mott_joint_state,
+                              run_script, superfluid_joint_state, z_marginal)
 from latticemc.states import superfluid_atom_number
-from latticemc.trajectory import exact_distribution
 
 
 def coherent_amplitudes(alpha, n_max):
@@ -50,22 +49,28 @@ def test_joint_state_shape_guard():
 
 
 def test_evolution_matches_coherent_solution():
-    """A driven empty cavity stays coherent; amplitudes follow the cavity ODE."""
+    """A driven empty cavity stays coherent; amplitudes follow the cavity ODE.
+
+    Transmission drives through eta; the maximum scenario through the atomic
+    coupling g = u10 a0 z, the generator's other drive term.
+    """
     spec = LatticeSpec(1, 1, 1)
-    model = ProbeModel(Scenario.TRANSMISSION, kappa=1.0, u11=0.5,
-                       eta=0.4, delta_p=0.3)
+    models = (ProbeModel(Scenario.TRANSMISSION, kappa=1.0, u11=0.5,
+                         eta=0.4, delta_p=0.3),
+              ProbeModel(Scenario.MAXIMUM, kappa=1.0, u10=0.4, a0=1.0))
     joint = superfluid_joint_state(spec, n_max=12)
     t = 2.0
-    out = evolve_nonhermitian(joint, model, spec, t)
-    # single configuration q = (1,): z = 1
-    alpha_t = transient_amplitude(model, 1.0, t)
-    want = coherent_amplitudes(alpha_t, 12)
-    got = out.amplitudes[0]
-    # compare ray direction: the non-Hermitian norm decay drops out
-    got = got / np.linalg.norm(got)
-    want = want / np.linalg.norm(want)
-    phase = want[0] / got[0]
-    np.testing.assert_allclose(got * phase, want, atol=1e-9)
+    for model in models:
+        out = evolve_nonhermitian(joint, model, spec, t)
+        # single configuration q = (1,): z = 1
+        alpha_t = transient_amplitude(model, 1.0, t)
+        want = coherent_amplitudes(alpha_t, 12)
+        got = out.amplitudes[0]
+        # compare ray direction: the non-Hermitian norm decay drops out
+        got = got / np.linalg.norm(got)
+        want = want / np.linalg.norm(want)
+        phase = want[0] / got[0]
+        np.testing.assert_allclose(got * phase, want, atol=1e-9)
 
 
 def test_evolution_norm_decays():
@@ -108,23 +113,59 @@ def test_apply_jump_fock_one_gives_vacuum():
         apply_jump(out)  # vacuum only
 
 
+def probe(scenario, drive=1e-4):
+    """The oracle-check probe: resonant at z = 1 in transmission."""
+    if scenario is Scenario.TRANSMISSION:
+        return ProbeModel(scenario, kappa=1.0, u11=1.0, eta=drive, delta_p=1.0)
+    return ProbeModel(scenario, kappa=1.0, u10=drive, a0=1.0)
+
+
+def max_deviation(spec, model, n_max=4):
+    """Oracle vs `exact_distribution` for the oracle-check record."""
+    got, want = compare_with_exact(spec, model, (16.0, 18.5), 20.0, n_max)
+    np.testing.assert_array_equal(got.z_values, want.z_values)
+    return np.abs(got.probabilities - want.probabilities).max()
+
+
 def test_run_script_matches_reduced_engine():
     """No-count + jump record on the full space reproduces the reduced form."""
     for n_atoms, scenario in ((2, Scenario.TRANSMISSION),
                               (3, Scenario.MAXIMUM)):
         spec = LatticeSpec(n_atoms, 2, 1)
-        if scenario is Scenario.TRANSMISSION:
-            model = ProbeModel(scenario=scenario, kappa=1.0, u11=1.0,
-                               eta=1e-4, delta_p=1.0)
-        else:
-            model = ProbeModel(scenario=scenario, kappa=1.0, u10=1e-4, a0=1.0)
-        jumps = (16.0, 18.5)
-        joint = run_script(superfluid_joint_state(spec, n_max=4),
-                           model, spec, jumps, 20.0)
-        got = z_marginal(joint, scenario, spec)
-        want = exact_distribution(superfluid_atom_number(spec), model,
-                                  jumps, 20.0)
-        assert np.abs(got.probabilities - want.probabilities).max() < 1e-9
+        assert max_deviation(spec, probe(scenario)) < 1e-9
+
+
+@pytest.mark.parametrize("spec", [LatticeSpec(n, 2, 2) for n in (2, 3, 4, 6)]
+                         + [LatticeSpec(n, 4, 4) for n in (2, 3)],
+                         ids=lambda s: f"N{s.n_atoms}M{s.n_sites}")
+def test_oracle_minimum_scenario(spec):
+    """Diffraction minimum: z is the odd-even difference, dark at z = 0."""
+    assert max_deviation(spec, probe(Scenario.MINIMUM)) < 1e-6
+
+
+@pytest.mark.parametrize("scenario", [Scenario.TRANSMISSION, Scenario.MAXIMUM],
+                         ids=lambda s: s.value)
+@pytest.mark.parametrize("n_atoms,n_illuminated",
+                         [(5, 1), (5, 2), (6, 1), (6, 2)],
+                         ids=["N5K1", "N5K2", "N6K1", "N6K2"])
+def test_oracle_three_sites(n_atoms, n_illuminated, scenario):
+    """Several configurations share each z once M = 3 sites hold 5-6 atoms."""
+    spec = LatticeSpec(n_atoms, 3, n_illuminated)
+    assert max_deviation(spec, probe(scenario)) < 1e-6
+
+
+@pytest.mark.parametrize("scenario", [Scenario.TRANSMISSION, Scenario.MAXIMUM],
+                         ids=lambda s: s.value)
+def test_oracle_strong_drive(scenario):
+    """A drive at which the no-count damping 2 kappa |alpha_z|^2 t matters.
+
+    At the oracle-check drive 1e-4 the damping is at most ~4e-6, so a no-count
+    exponent off by a factor 2 moves p(z) by less than the 1e-6 tolerance.
+    At drive 0.3 it reaches 3.6 (transmission) and 32 (maximum), and the
+    same error moves p(z) by 0.1-0.2.
+    """
+    spec = LatticeSpec(3, 2, 1)
+    assert max_deviation(spec, probe(scenario, drive=0.3), n_max=10) < 1e-6
 
 
 def test_run_script_rejects_late_jumps():
