@@ -227,14 +227,37 @@ def _write_csv(path: Path, header: list[str], rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+_CSV_CHUNK_ROWS = 1 << 16
+
+
+def _format_column(values: np.ndarray) -> list[str]:
+    """The `_fmt` text of every entry of a 1-D integer or float array."""
+    if np.issubdtype(values.dtype, np.integer):
+        return list(map(str, values.tolist()))
+    return ["%.17g" % v for v in values.astype(float, copy=False).tolist()]
+
+
+def _write_columns(path: Path, header: list[str], columns):
+    """Write equal-length numeric columns as CSV, a chunk of rows at a time.
+
+    Same bytes as `_write_csv` over the rows of the columns.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            texts = [_format_column(c[start:stop]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+
+
 def write_record(record: RunRecord, out_dir: Path, stem: str = "trajectory"):
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / f"{stem}.csv",
-               ["t", "tau", "m", "mean_z", "width",
-                "cond_photons_reduced", "mandel_q_reduced"],
-               [(s.t, s.tau, s.m, s.mean_z, s.width,
-                 s.cond_photons_reduced, s.mandel_q_reduced)
-                for s in record.samples])
+    fields = ["t", "tau", "m", "mean_z", "width",
+              "cond_photons_reduced", "mandel_q_reduced"]
+    _write_columns(out_dir / f"{stem}.csv", fields,
+                   [[getattr(s, f) for s in record.samples] for f in fields])
     outcome = record.outcome
     payload = {
         "kind": outcome.kind,
@@ -254,9 +277,9 @@ def write_record(record: RunRecord, out_dir: Path, stem: str = "trajectory"):
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for tau, dist in sorted(record.snapshots.items()):
-        _write_csv(out_dir / f"{stem}_snapshot_tau{tau:g}.csv",
-                   ["z", "probability"],
-                   zip(dist.z_values, dist.probabilities))
+        _write_columns(out_dir / f"{stem}_snapshot_tau{tau:g}.csv",
+                       ["z", "probability"],
+                       [dist.z_values, dist.probabilities])
 
 
 def cmd_trajectory(cfg: RunConfig, out_dir: Path, seed: int | None = None) -> int:
@@ -290,10 +313,10 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
         counts[o.kind] += 1
         rows.append((i, o.kind, o.z1, o.z2 if o.z2 is not None else "",
                      record.final_state.m, record.final_state.tau))
-        for s in record.samples:
-            for tau in cfg.snapshots:
-                if np.isclose(s.tau, tau):
-                    m_at_tau[tau].append(s.m)
+        for tau, samples in m_at_tau.items():
+            k = record.snapshot_strides.get(tau)
+            if k is not None:
+                samples.append(record.samples[k].m)
 
     with open(out_dir / "ensemble_summary.json", "w") as fh:
         json.dump({"n_traj": n_traj, "outcomes": counts,
@@ -312,16 +335,22 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
             continue
         t = tau / (2.0 * c2 * model.kappa)
         closed = photostats.photocount_distribution(p0, table, model.kappa, t)
-        hist = np.bincount(samples, minlength=len(closed.n_values))
-        n_grid = np.arange(max(len(hist), len(closed.n_values)))
-        emp = np.zeros(len(n_grid))
-        emp[:len(hist)] = hist / len(samples)
-        theory = np.zeros(len(n_grid))
-        theory[:len(closed.n_values)] = closed.probabilities
-        _write_csv(out_dir / f"m_hist_tau{tau:g}.csv",
-                   ["m", "empirical_probability", "closed_form_probability"],
-                   zip(n_grid, emp, theory))
+        _write_columns(out_dir / f"m_hist_tau{tau:g}.csv",
+                       ["m", "empirical_probability",
+                        "closed_form_probability"],
+                       _m_histogram(samples, closed.probabilities))
     return EXIT_OK
+
+
+def _m_histogram(samples: list[int], closed: np.ndarray):
+    """Columns m, empirical and closed-form probability on a common m grid."""
+    hist = np.bincount(samples, minlength=len(closed))
+    n_grid = np.arange(max(len(hist), len(closed)))
+    emp = np.zeros(len(n_grid))
+    emp[:len(hist)] = hist / len(samples)
+    theory = np.zeros(len(n_grid))
+    theory[:len(closed)] = closed
+    return [n_grid, emp, theory]
 
 
 def cmd_purity_sweep(cfg: RunConfig, out_dir: Path) -> int:

@@ -9,9 +9,9 @@ rotating at the probe frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import Scenario
 
@@ -84,10 +84,22 @@ class AmplitudeTable:
         object.__setattr__(self, "z_values", z)
         object.__setattr__(self, "alpha", a)
 
-    @property
+    @cached_property
     def intensity(self) -> np.ndarray:
-        """|alpha_z|^2 on the grid."""
-        return np.abs(self.alpha) ** 2
+        """|alpha_z|^2 on the grid (computed once, read-only)."""
+        lam = np.abs(self.alpha) ** 2
+        lam.flags.writeable = False
+        return lam
+
+    @cached_property
+    def log_intensity(self) -> np.ndarray:
+        """log |alpha_z|^2 on the grid, -inf where alpha_z = 0 (read-only)."""
+        lam = self.intensity
+        with np.errstate(divide="ignore"):
+            log_lam = np.where(lam > 0, np.log(np.where(lam > 0, lam, 1.0)),
+                               -np.inf)
+        log_lam.flags.writeable = False
+        return log_lam
 
 
 def steady_amplitude(model: ProbeModel, z) -> complex | np.ndarray:
@@ -145,24 +157,27 @@ def prefactor_exponent(model: ProbeModel, z, t: float) -> complex:
     return re + 1j * im
 
 
-def prefactor_exponent_exact(model: ProbeModel, z, t: float,
-                             tol: float = 1e-12) -> complex:
-    """Exact Phi_z(t) including the transient, by numerical quadrature.
+def prefactor_exponent_exact(model: ProbeModel, z, t: float) -> complex:
+    """Exact Phi_z(t) including the transient, in closed form.
 
-    Integrates i Im(eta alpha* - i u10 a0 z alpha*) - kappa |alpha|^2 with
-    the full time-dependent amplitude; needed for t < 1/kappa validation.
+    Integrates i Im(eta alpha* - i u10 a0 z alpha*) - kappa |alpha|^2 over
+    [0, t] with the full time-dependent amplitude alpha(s) = S + D e^(lam s)
+    (S steady, D = alpha0 - S, Re lam = -kappa).  Every term is an
+    exponential integral int_0^t e^(c s) ds = expm1(c t) / c; needed for
+    t < 1/kappa validation.
     """
-    def integrand_re(s):
-        a = transient_amplitude(model, z, s)
-        return -model.kappa * np.abs(a) ** 2
-
-    def integrand_im(s):
-        a = transient_amplitude(model, z, s)
-        return np.imag(_drive_term(model, z, a))
-
-    re, _ = quad(integrand_re, 0.0, t, epsabs=tol, epsrel=tol, limit=400)
-    im, _ = quad(integrand_im, 0.0, t, epsabs=tol, epsrel=tol, limit=400)
-    return re + 1j * im
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    steady = steady_amplitude(model, z)
+    d = model.alpha0 - steady
+    lam = _decay_exponent(model, z)
+    e1 = np.expm1(lam * t) / lam
+    e2 = -np.expm1(-2.0 * model.kappa * t) / (2.0 * model.kappa)
+    mean_sq = (abs(steady) ** 2 * t + 2.0 * (np.conj(steady) * d * e1).real
+               + abs(d) ** 2 * e2)
+    # the drive term is linear in alpha*, so it integrates with alpha
+    im = np.imag(_drive_term(model, z, steady * t + d * e1))
+    return complex(-model.kappa * mean_sq, im)
 
 
 def cat_phase(model: ProbeModel, delta_z: float) -> float:

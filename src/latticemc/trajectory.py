@@ -86,6 +86,8 @@ class RunRecord:
     config: dict
     outcome: OutcomeReport | None = None
     snapshots: dict = field(default_factory=dict)
+    # snapshot tau -> index into `samples` of the stride it was taken at
+    snapshot_strides: dict = field(default_factory=dict)
     final_state: TrajectoryState | None = None
 
 
@@ -120,9 +122,7 @@ def jump(state: TrajectoryState) -> TrajectoryState:
     lam = state.amplitudes.intensity
     if np.dot(lam, state.dist.probabilities) <= 0:
         raise RuntimeError("jump on a dark state: all support has alpha_z = 0")
-    with np.errstate(divide="ignore"):
-        logf = np.where(lam > 0, np.log(np.where(lam > 0, lam, 1.0)), -np.inf)
-    p = _apply_log_factor(state, logf)
+    p = _apply_log_factor(state, state.amplitudes.log_intensity)
     return replace(state, dist=state.dist.with_probabilities(p),
                    m=state.m + 1, jump_times=state.jump_times + (state.t,))
 
@@ -151,24 +151,21 @@ def advance(state: TrajectoryState, dt: float, counts: int) -> TrajectoryState:
     """Closed-form update for `counts` detections within a no-count span dt.
 
     Equivalent to `counts` jumps plus no-count evolution of total length dt
-    in any interleaving (the updates commute); detection times are binned
-    at the end of the stride.
+    in any interleaving (the updates commute).  The state depends on the
+    record only through (m, t), so the detection times within the stride
+    are not recorded: `jump_times` is left unchanged.  Only `jump` records
+    exact detection times.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     if counts < 0:
         raise ValueError("counts must be >= 0")
-    lam = state.amplitudes.intensity
     log_factor = -state.rates * dt
     if counts > 0:
-        with np.errstate(divide="ignore"):
-            log_factor = log_factor + counts * np.where(
-                lam > 0, np.log(np.where(lam > 0, lam, 1.0)), -np.inf)
+        log_factor = log_factor + counts * state.amplitudes.log_intensity
     p = _apply_log_factor(state, log_factor)
-    t_end = state.t + dt
     return replace(state, dist=state.dist.with_probabilities(p),
-                   m=state.m + counts, t=t_end,
-                   jump_times=state.jump_times + (t_end,) * counts)
+                   m=state.m + counts, t=state.t + dt)
 
 
 def conditional_photon_number(state: TrajectoryState) -> float:
@@ -198,19 +195,16 @@ def width(state: TrajectoryState) -> float:
 
 def detect_peaks(dist: ZDistribution,
                  threshold: float = PEAK_WEIGHT_THRESHOLD) -> list[int]:
-    """Indices of local maxima of p(z) carrying weight above threshold."""
+    """Indices of local maxima of p(z) carrying weight above threshold.
+
+    A maximum rises strictly from its left neighbour and is not exceeded by
+    its right one, so a plateau counts once, at its left end.
+    """
     p = dist.probabilities
     padded = np.concatenate(([-np.inf], p, [-np.inf]))
-    peaks = [i for i in range(len(p))
-             if padded[i + 1] > padded[i] and padded[i + 1] >= padded[i + 2]
-             and p[i] >= threshold]
-    # collapse plateau pairs (equal neighbours count once)
-    out = []
-    for i in peaks:
-        if out and i == out[-1] + 1 and p[i] == p[out[-1]]:
-            continue
-        out.append(i)
-    return out
+    mid = padded[1:-1]
+    return np.flatnonzero((mid > padded[:-2]) & (mid >= padded[2:])
+                          & (p >= threshold)).tolist()
 
 
 def fwhm_of_peak(dist: ZDistribution, peak_index: int) -> float:
@@ -294,10 +288,8 @@ def closed_form_distribution(p0: ZDistribution, amplitudes: AmplitudeTable,
             p > 0,
             np.log(np.where(p > 0, p, 1.0)) - 2.0 * kappa * lam * t,
             -np.inf)
-        if m > 0:
-            logw = logw + m * np.where(lam > 0,
-                                       np.log(np.where(lam > 0, lam, 1.0)),
-                                       -np.inf)
+    if m > 0:
+        logw = logw + m * amplitudes.log_intensity
     peak = logw.max()
     if not np.isfinite(peak):
         raise NumericalAbort("closed form: all weights vanish")
@@ -310,8 +302,8 @@ def exact_distribution(p0: ZDistribution, model: ProbeModel,
     """Finite-time distribution including cavity transients.
 
     Uses the full time-dependent amplitudes at the recorded jump times and
-    the quadrature no-count exponent; valid for any t, t_i >= 0.  Intended
-    for validation against the full-Hilbert-space oracle.
+    the closed-form transient no-count exponent; valid for any t, t_i >= 0.
+    Intended for validation against the full-Hilbert-space oracle.
     """
     z = p0.z_values
     p = p0.probabilities
@@ -423,13 +415,26 @@ def peak_collapse_width(dist: ZDistribution, peak_index: int) -> float:
     Unlike the interpolated FWHM this goes to zero for a point mass, so it
     can drive the stop condition below one grid unit.
     """
-    z = dist.z_values.astype(float)
     p = dist.probabilities
-    i = j = peak_index
-    while i > 0 and p[i - 1] < p[i]:
-        i -= 1
-    while j < len(p) - 1 and p[j + 1] < p[j]:
-        j += 1
+    (i,), (j,) = _basin_bounds(p, [peak_index])
+    return _basin_width(dist.z_values.astype(float), p, i, j)
+
+
+def _basin_bounds(p: np.ndarray, peaks) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each peak's basin.
+
+    The basin runs out from the peak while p falls strictly: left to just
+    after the last k < peak with p[k] >= p[k + 1], right to the first
+    k >= peak with p[k + 1] >= p[k].
+    """
+    no_rise = np.concatenate(([-1], np.flatnonzero(p[:-1] >= p[1:])))
+    no_fall = np.concatenate((np.flatnonzero(p[1:] >= p[:-1]), [len(p) - 1]))
+    first = no_rise[np.searchsorted(no_rise, peaks) - 1] + 1
+    last = no_fall[np.searchsorted(no_fall, peaks)]
+    return first, last
+
+
+def _basin_width(z: np.ndarray, p: np.ndarray, i: int, j: int) -> float:
     w = p[i:j + 1]
     zz = z[i:j + 1]
     total = w.sum()
@@ -445,7 +450,11 @@ def _all_peaks_narrow(dist: ZDistribution, stop_fwhm: float,
     peaks = detect_peaks(dist, threshold)
     if not peaks:
         return False
-    return all(peak_collapse_width(dist, i) < stop_fwhm for i in peaks)
+    p = dist.probabilities
+    z = dist.z_values.astype(float)
+    first, last = _basin_bounds(p, peaks)
+    return all(_basin_width(z, p, i, j) < stop_fwhm
+               for i, j in zip(first.tolist(), last.tolist()))
 
 
 def _sample_index(rng: np.random.Generator, p: np.ndarray) -> int:
@@ -496,9 +505,23 @@ def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
             width=st.dist.std, cond_photons_reduced=mean_lam / c2,
             mandel_q_reduced=q_red))
 
-    push_sample(state)
+    # each snapshot is taken at one stride: tau = 0 at the start, any other
+    # at the first grid point after it that matches
+    snap_at: dict[int, list[float]] = {}
     if snap_set and np.isclose(snap_set[0], 0.0):
-        record.snapshots[0.0] = state.dist
+        snap_at[0] = [0.0]
+    for s in snap_set:
+        hits = np.flatnonzero(np.isclose(s, taus[1:])) if s > 0 else ()
+        if len(hits):
+            snap_at.setdefault(int(hits[0]) + 1, []).append(s)
+
+    def take_snapshots(k: int, st: TrajectoryState):
+        for s in snap_at.get(k, ()):
+            record.snapshots[s] = st.dist
+            record.snapshot_strides[s] = k
+
+    push_sample(state)
+    take_snapshots(0, state)
 
     rates = state.rates
     for k in range(1, len(taus)):
@@ -507,9 +530,7 @@ def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
         counts = int(rng.poisson(rates[zi] * dt))
         state = advance(state, dt, counts)
         push_sample(state)
-        for s in snap_set:
-            if s > 0 and np.isclose(s, taus[k]) and s not in record.snapshots:
-                record.snapshots[s] = state.dist
+        take_snapshots(k, state)
         if _all_peaks_narrow(state.dist, stop_fwhm, peak_threshold):
             break
 

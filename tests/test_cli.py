@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from latticemc import cli
 from latticemc.cli import (ConfigError, PRESET_NAMES, RunConfig, load_preset,
                            main, parse_config, probe_model)
 from latticemc.geometry import Scenario
@@ -143,6 +144,64 @@ def test_ensemble_command(tmp_path):
     hist = np.loadtxt(out / "m_hist_tau2.csv", delimiter=",", skiprows=1)
     assert hist[:, 1].sum() == pytest.approx(1.0, abs=1e-9)
     assert hist[:, 2].sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ensemble_one_sample_per_trajectory_per_snapshot(tmp_path,
+                                                         monkeypatch):
+    # fig2's grid holds tau = 0.7 and 14.6 twice; each counts once
+    seen = {}
+    real = cli._m_histogram
+
+    def spy(samples, closed):
+        seen[len(seen)] = len(samples)
+        return real(samples, closed)
+
+    monkeypatch.setattr(cli, "_m_histogram", spy)
+    out = tmp_path / "out"
+    assert main(["ensemble", "--preset", "fig2", "--n-traj", "3",
+                 "--seed", "11", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("m_hist_*")) == [
+        "m_hist_tau0.7.csv", "m_hist_tau0.csv", "m_hist_tau1.1.csv",
+        "m_hist_tau14.6.csv"]
+    assert list(seen.values()) == [3, 3, 3, 3]
+
+
+WRITER_VALUES = [0.0, -0.0, 5e-324, 1e-310, 1 / 3, 1e300, -2.5,
+                 np.float64(1.7976931348623157e308), np.float64(-1e-300),
+                 np.float64(123456789.123456789), 1.0, 1e16, 0.1]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4, 13, 1 << 16])
+def test_column_writer_matches_row_writer(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)
+    n = len(WRITER_VALUES)
+    ints = np.array([0, -1, 2**62, -2**63, 2**63 - 1, 7, 10**18, -5, 1, 2,
+                     3, 4, 99], dtype=np.int64)
+    floats = np.array(WRITER_VALUES, dtype=float)
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64)
+    rand = bits.view(np.float64)  # any sign and exponent
+    rand = np.where(np.isfinite(rand), rand, 0.5)
+    header = ["i", "x", "y"]
+    cli._write_csv(tmp_path / "rows.csv", header, zip(ints, floats, rand))
+    cli._write_columns(tmp_path / "cols.csv", header, [ints, floats, rand])
+    want = (tmp_path / "rows.csv").read_bytes()
+    assert (tmp_path / "cols.csv").read_bytes() == want
+    assert want.count(b"\n") == n + 1
+    assert b",-0," in want and b",4.9406564584124654e-324," in want
+    # Python scalars in lists, as the trajectory writer passes them
+    cli._write_columns(tmp_path / "lists.csv", header,
+                       [[int(v) for v in ints], list(WRITER_VALUES),
+                        rand.tolist()])
+    assert (tmp_path / "lists.csv").read_bytes() == want
+
+
+def test_column_writer_empty(tmp_path):
+    cli._write_csv(tmp_path / "rows.csv", ["a", "b"], [])
+    cli._write_columns(tmp_path / "cols.csv", ["a", "b"],
+                       [np.zeros(0, dtype=int), np.zeros(0)])
+    assert ((tmp_path / "cols.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes() == b"a,b\n")
 
 
 def test_purity_sweep_command(tmp_path):

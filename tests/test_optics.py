@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from latticemc.geometry import Scenario
 from latticemc.optics import (AmplitudeTable, ProbeModel, amplitude_table,
-                              cat_phase, prefactor_exponent,
+                              _drive_term, cat_phase, prefactor_exponent,
                               prefactor_exponent_exact, steady_amplitude,
                               transient_amplitude)
 
@@ -156,6 +156,42 @@ def test_prefactor_exponent_exact_transient_differs_early():
     exact = prefactor_exponent_exact(model, 10.0, 0.5)
     steady = prefactor_exponent(model, 10.0, 0.5)
     assert abs(exact.real) < abs(steady.real)
+
+
+def _prefactor_exponent_quad(model, z, t, tol=1e-12):
+    """Reference: adaptive quadrature of the no-count exponent rate."""
+    re, _ = quad(lambda s: -model.kappa
+                 * abs(transient_amplitude(model, z, s)) ** 2,
+                 0.0, t, epsabs=tol, epsrel=tol, limit=400)
+    im, _ = quad(lambda s: np.imag(_drive_term(
+        model, z, transient_amplitude(model, z, s))),
+        0.0, t, epsabs=tol, epsrel=tol, limit=400)
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("make", [
+    lambda d: transmission(eta=d, u11=1.0, kappa=1.0, z_p=1.0),
+    lambda d: transmission(eta=0.7 * d, u11=0.4, kappa=0.7, z_p=5.0,
+                           alpha0=0.1 + 0.05j),
+    lambda d: transverse(u10=d, kappa=1.0),
+    lambda d: transverse(u10=d, kappa=1.3, delta_p=0.4, alpha0=-0.2j),
+], ids=["transmission", "transmission-alpha0", "maximum", "maximum-detuned"])
+def test_prefactor_exponent_exact_matches_quadrature(make):
+    for drive in (1e-4, 0.05, 0.3):
+        model = make(drive)
+        for z in (0, 1, 2, 3, 7):
+            for t in (1e-3, 0.01, 0.3, 1.0, 2.5, 16.0, 20.0, 50.0):
+                want = _prefactor_exponent_quad(model, z, t)
+                got = prefactor_exponent_exact(model, z, t)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), \
+                    (drive, z, t, got, want)
+
+
+def test_prefactor_exponent_exact_at_zero_and_negative_time():
+    model = transmission(eta=0.3, z_p=2.0)
+    assert prefactor_exponent_exact(model, 1, 0.0) == 0
+    with pytest.raises(ValueError):
+        prefactor_exponent_exact(model, 1, -1.0)
 
 
 def test_cat_phase_examples():

@@ -7,7 +7,8 @@ from latticemc.states import (ZDistribution, gaussian_approximation,
                               mott_distribution, superfluid_atom_number,
                               superfluid_difference)
 from latticemc.trajectory import (ClassificationError, NumericalAbort,
-                                  TrajectoryState, advance, classify_outcome,
+                                  TrajectoryState, _basin_bounds, advance,
+                                  classify_outcome,
                                   closed_form_distribution,
                                   conditional_photon_number, detect_peaks,
                                   exact_distribution, fwhm_of_peak, jump,
@@ -162,6 +163,25 @@ def test_advance_equals_explicit_interleaving():
     assert bulk.t == pytest.approx(step.t)
 
 
+def test_advance_keeps_jump_times():
+    # binned times carry nothing beyond (m, t); only `jump` records times
+    st = jump(make_state(superfluid_atom_number(SPEC), max_model()))
+    out = advance(st, 0.4, 5)
+    assert out.jump_times == st.jump_times == (0.0,)
+    assert out.m == st.m + 5
+
+
+def test_amplitude_table_log_intensity():
+    table = amplitude_table(max_model(), np.arange(5))
+    lam = np.abs(table.alpha) ** 2
+    assert np.array_equal(table.intensity, lam)
+    assert table.log_intensity[0] == -np.inf
+    assert np.array_equal(table.log_intensity[1:], np.log(lam[1:]))
+    assert table.log_intensity is table.log_intensity  # computed once
+    with pytest.raises(ValueError):
+        table.intensity[0] = 1.0
+
+
 def test_advance_validation():
     st = two_point_state([1.0, 2.0], [0.5, 0.5])
     with pytest.raises(ValueError):
@@ -212,6 +232,79 @@ def test_detect_peaks_and_fwhm():
     # FWHM of a discrete Gaussian ~ 2 sqrt(2 ln2) sigma
     assert fwhm_of_peak(d2, 50) == pytest.approx(4.0 * 2 * np.sqrt(2 * np.log(2)),
                                                  rel=0.02)
+
+
+def test_detect_peaks_plateau_counts_once():
+    p = np.array([0.1, 0.3, 0.3, 0.1]) / 0.8
+    d = ZDistribution(np.arange(4), p, ZMeaning.ATOM_NUMBER_AT_K_SITES)
+    assert detect_peaks(d) == [1]
+
+
+def _detect_peaks_reference(p, threshold):
+    """Reference loop implementation, plateau-collapse pass included."""
+    padded = np.concatenate(([-np.inf], p, [-np.inf]))
+    peaks = [i for i in range(len(p))
+             if padded[i + 1] > padded[i] and padded[i + 1] >= padded[i + 2]
+             and p[i] >= threshold]
+    out = []
+    for i in peaks:
+        if out and i == out[-1] + 1 and p[i] == p[out[-1]]:
+            continue
+        out.append(i)
+    return out
+
+
+def _basin_reference(p, peak_index):
+    """Reference walk out from a peak while p falls strictly."""
+    i = j = peak_index
+    while i > 0 and p[i - 1] < p[i]:
+        i -= 1
+    while j < len(p) - 1 and p[j + 1] < p[j]:
+        j += 1
+    return i, j
+
+
+def _peak_collapse_width_reference(z, p, peak_index):
+    i, j = _basin_reference(p, peak_index)
+    w, zz = p[i:j + 1], z[i:j + 1]
+    total = w.sum()
+    mean = np.dot(zz, w) / total
+    var = np.dot((zz - mean) ** 2, w) / total
+    return float(2.0 * np.sqrt(2.0 * np.log(2.0) * max(var, 0.0)))
+
+
+def _tied_distributions(n_cases, seed):
+    """Short p vectors drawn from few levels, so ties and plateaus abound."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_cases):
+        n = int(rng.integers(1, 12))
+        levels = rng.integers(0, 4, size=n).astype(float)
+        if levels.sum() == 0:
+            levels[rng.integers(n)] = 1.0
+        yield ZDistribution(np.arange(n) - n // 2, levels / levels.sum(),
+                            ZMeaning.ATOM_NUMBER_AT_K_SITES)
+
+
+def test_detect_peaks_matches_reference_loop():
+    for d in _tied_distributions(3000, seed=41):
+        p = d.probabilities
+        # thresholds exactly at values p takes, and between them
+        for threshold in (*np.unique(p)[:3], 0.0, 1e-3, 0.2):
+            assert detect_peaks(d, threshold) == \
+                _detect_peaks_reference(p, threshold)
+
+
+def test_basin_bounds_match_reference_walk():
+    for d in _tied_distributions(3000, seed=43):
+        p = d.probabilities
+        z = d.z_values.astype(float)
+        starts = np.arange(len(p))
+        first, last = _basin_bounds(p, starts)
+        for k in starts:
+            assert (first[k], last[k]) == _basin_reference(p, k)
+            if p[k] > 0:  # the same sums, so bit-identical widths
+                assert peak_collapse_width(d, k) == \
+                    _peak_collapse_width_reference(z, p, k)
 
 
 def test_peak_collapse_width_point_mass_vanishes():
@@ -427,6 +520,34 @@ def test_run_trajectory_snapshots():
     assert set(rec.snapshots) == {0.0, 0.7, 10.0}
     np.testing.assert_allclose(rec.snapshots[0.0].probabilities,
                                p0.probabilities, atol=1e-15)
+
+
+def test_run_trajectory_one_stride_per_snapshot_on_fig2_grid():
+    # fig2's grid holds 0.7 and 14.6 twice, 1e-16 apart
+    p0 = superfluid_atom_number(SPEC)
+    snaps = (0.0, 0.7, 1.1, 14.6)
+    rec = run_trajectory(p0, trans_model(z_p=50.0), seed=[11, 0], max_tau=40.0,
+                         stop_fwhm=0.0, sample_interval_tau=0.1,
+                         snapshot_taus=snaps)
+    taus = np.array([s.tau for s in rec.samples])
+    assert np.count_nonzero(np.isclose(taus, 0.7)) == 2
+    assert np.count_nonzero(np.isclose(taus, 14.6)) == 2
+    assert set(rec.snapshot_strides) == set(rec.snapshots) == set(snaps)
+    for tau, k in rec.snapshot_strides.items():
+        # the first matching stride, whose state is the snapshot
+        assert k == np.flatnonzero(np.isclose(tau, taus))[0]
+        assert rec.snapshots[tau] is not None
+    assert rec.snapshot_strides[0.0] == 0
+
+
+def test_run_trajectory_snapshot_strides_stop_with_the_run():
+    p0 = superfluid_atom_number(SPEC)
+    rec = run_trajectory(p0, max_model(), seed=5, max_tau=30.0, stop_fwhm=0.5,
+                         sample_interval_tau=0.1, snapshot_taus=(0.5, 29.0))
+    assert rec.final_state.tau < 29.0
+    assert set(rec.snapshot_strides) == set(rec.snapshots) == {0.5}
+    k = rec.snapshot_strides[0.5]
+    assert rec.samples[k].tau == pytest.approx(0.5)
 
 
 def test_run_trajectory_validation():
