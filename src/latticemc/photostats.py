@@ -17,6 +17,7 @@ from .states import ZDistribution
 from .trajectory import TrajectoryState
 
 _TAIL_BOUND = 1e-10
+_START_SDS = 10.0  # truncation starts this many sds past the largest rate
 
 
 class DistributionKind(Enum):
@@ -62,30 +63,34 @@ def poisson_mixture(rates: np.ndarray, weights: np.ndarray,
                     kind: DistributionKind) -> PhotonDistribution:
     """sum_z weights[z] * Poisson(n; rates[z]), truncated to tail < 1e-10.
 
-    Poisson terms use log factorials; the truncation point starts ten
-    standard deviations past the largest rate and is extended until the
-    captured mass bound holds.
+    Poisson terms use log factorials; each z adds them only over rate +-
+    (40 sqrt(rate) + 40), beyond which they underflow.  The truncation point
+    starts _START_SDS sds past the largest rate and doubles until it holds.
     """
     rates = np.asarray(rates, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if np.any(rates < 0):
         raise ValueError("rates must be nonnegative")
     top = rates.max(initial=0.0)
-    n_max = int(np.ceil(top + 10.0 * np.sqrt(top) + 20.0))
+    n_max = int(np.ceil(top + _START_SDS * np.sqrt(top) + 20.0))
+    reach = 40.0 * np.sqrt(rates) + 40.0
+    lows = np.maximum(np.floor(rates - reach), 0.0).astype(int)
+    highs = np.ceil(rates + reach).astype(int) + 1
     while True:
         n = np.arange(n_max + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpmf = (np.outer(np.log(np.where(rates > 0, rates, 1.0)), n)
-                      - rates[:, None] - gammaln(n + 1.0)[None, :])
-        pmf = np.exp(logpmf)
-        zero = rates == 0
-        if np.any(zero):
-            pmf[zero] = 0.0
-            pmf[zero, 0] = 1.0
-        p = weights @ pmf
-        tail = 1.0 - p.sum()
-        if tail < _TAIL_BOUND:
+        log_factorial = gammaln(n + 1.0)
+        p = np.zeros(n_max + 1)
+        for rate, w, lo, hi in zip(rates, weights, lows, highs):
+            if w == 0 or rate == 0:
+                p[0] += w
+                continue
+            k = n[lo:hi]
+            p[lo:hi] += w * np.exp(k * np.log(rate) - rate
+                                   - log_factorial[lo:hi])
+        if 1.0 - p.sum() < _TAIL_BOUND:
             break
+        if n_max >= highs.max(initial=0):  # no term is left to add
+            raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
         n_max *= 2
     return PhotonDistribution(n, p / p.sum(), kind)
 

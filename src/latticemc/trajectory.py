@@ -2,17 +2,20 @@
 
 Between photodetections each z component is damped by exp(-2|alpha_z|^2
 kappa dt); a detection multiplies the distribution by |alpha_z|^2.  Both
-updates are multiplicative per z, so the whole trajectory state is the
-z marginal plus the photocount m.  The final distribution depends on the
-record only through (m, t), which permits an exact stride sampler: the
-number of counts in any interval, conditioned on the current state, is a
-p(z)-mixture of Poissonians.
+updates are diagonal in z, so a trajectory is its photocount record and
+its state is the closed-form posterior p0(z) |alpha_z|^(2m) e^(-2 kappa
+|alpha_z|^2 t).  The sampler therefore draws a latent z* ~ p0 once and each
+stride's count at the rate 2 kappa |alpha_z*|^2: by Bayes' chain rule, the
+law of drawing each count from the current posterior's Poisson mixture
+(Wiseman & Milburn, Quantum Measurement and Control, 2010).  Observables,
+stop check and outcome come from the posterior, over blocks of strides.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +26,8 @@ from .optics import (AmplitudeTable, ProbeModel, amplitude_table, cat_phase,
 from .states import ZDistribution
 
 PEAK_WEIGHT_THRESHOLD = 1e-3
+# strides whose posteriors run_trajectory evaluates as one array
+_BLOCK_STRIDES = 128
 LN2 = float(np.log(2.0))
 
 
@@ -91,18 +96,18 @@ class RunRecord:
     final_state: TrajectoryState | None = None
 
 
-def _apply_log_factor(state: TrajectoryState, log_factor: np.ndarray
-                      ) -> np.ndarray:
-    """Multiply p(z) by exp(log_factor) in log space and renormalize."""
-    p = state.dist.probabilities
-    with np.errstate(divide="ignore"):
-        logp = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)) + log_factor,
-                        -np.inf)
-    peak = logp.max()
-    if not np.isfinite(peak):
+def _reweighted(p: np.ndarray, log_factor: np.ndarray) -> np.ndarray:
+    """p(z) exp(log_factor) renormalized in log space, per row of log_factor.
+
+    The one posterior kernel of the updates, the closed form and the
+    sampler's blocks of strides.
+    """
+    logw = np.log(p, out=np.full(p.shape, -np.inf), where=p > 0) + log_factor
+    peak = logw.max(axis=-1, keepdims=True)
+    if not np.isfinite(peak).all():
         raise NumericalAbort("all conditional weights suppressed to zero")
-    w = np.exp(logp - peak)
-    return w / w.sum()
+    w = np.exp(logw - peak)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def no_count_step(state: TrajectoryState, dt: float) -> TrajectoryState:
@@ -112,7 +117,7 @@ def no_count_step(state: TrajectoryState, dt: float) -> TrajectoryState:
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    p = _apply_log_factor(state, -state.rates * dt)
+    p = _reweighted(state.dist.probabilities, -state.rates * dt)
     return replace(state, dist=state.dist.with_probabilities(p),
                    t=state.t + dt)
 
@@ -122,7 +127,7 @@ def jump(state: TrajectoryState) -> TrajectoryState:
     lam = state.amplitudes.intensity
     if np.dot(lam, state.dist.probabilities) <= 0:
         raise RuntimeError("jump on a dark state: all support has alpha_z = 0")
-    p = _apply_log_factor(state, state.amplitudes.log_intensity)
+    p = _reweighted(state.dist.probabilities, state.amplitudes.log_intensity)
     return replace(state, dist=state.dist.with_probabilities(p),
                    m=state.m + 1, jump_times=state.jump_times + (state.t,))
 
@@ -145,27 +150,6 @@ def mc_step(state: TrajectoryState, dt: float, u: float
     if jumped:
         state = jump(state)
     return no_count_step(state, dt), jumped
-
-
-def advance(state: TrajectoryState, dt: float, counts: int) -> TrajectoryState:
-    """Closed-form update for `counts` detections within a no-count span dt.
-
-    Equivalent to `counts` jumps plus no-count evolution of total length dt
-    in any interleaving (the updates commute).  The state depends on the
-    record only through (m, t), so the detection times within the stride
-    are not recorded: `jump_times` is left unchanged.  Only `jump` records
-    exact detection times.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if counts < 0:
-        raise ValueError("counts must be >= 0")
-    log_factor = -state.rates * dt
-    if counts > 0:
-        log_factor = log_factor + counts * state.amplitudes.log_intensity
-    p = _apply_log_factor(state, log_factor)
-    return replace(state, dist=state.dist.with_probabilities(p),
-                   m=state.m + counts, t=state.t + dt)
 
 
 def conditional_photon_number(state: TrajectoryState) -> float:
@@ -281,20 +265,10 @@ def predicted_widths(scenario: Scenario, m: int, tau: float,
 def closed_form_distribution(p0: ZDistribution, amplitudes: AmplitudeTable,
                              kappa: float, m: int, t: float) -> ZDistribution:
     """Direct steady-regime distribution: |alpha_z|^(2m) e^(-2|a|^2 kt) p0 / F^2."""
-    lam = amplitudes.intensity
-    p = p0.probabilities
-    with np.errstate(divide="ignore"):
-        logw = np.where(
-            p > 0,
-            np.log(np.where(p > 0, p, 1.0)) - 2.0 * kappa * lam * t,
-            -np.inf)
+    log_factor = -2.0 * kappa * amplitudes.intensity * t
     if m > 0:
-        logw = logw + m * amplitudes.log_intensity
-    peak = logw.max()
-    if not np.isfinite(peak):
-        raise NumericalAbort("closed form: all weights vanish")
-    w = np.exp(logw - peak)
-    return p0.with_probabilities(w / w.sum())
+        log_factor = log_factor + m * amplitudes.log_intensity
+    return p0.with_probabilities(_reweighted(p0.probabilities, log_factor))
 
 
 def exact_distribution(p0: ZDistribution, model: ProbeModel,
@@ -417,7 +391,12 @@ def peak_collapse_width(dist: ZDistribution, peak_index: int) -> float:
     """
     p = dist.probabilities
     (i,), (j,) = _basin_bounds(p, [peak_index])
-    return _basin_width(dist.z_values.astype(float), p, i, j)
+    w = p[i:j + 1]
+    zz = dist.z_values[i:j + 1].astype(float)
+    total = w.sum()
+    mean = np.dot(zz, w) / total
+    var = np.dot((zz - mean) ** 2, w) / total
+    return float(2.0 * np.sqrt(2.0 * LN2 * max(var, 0.0)))
 
 
 def _basin_bounds(p: np.ndarray, peaks) -> tuple[np.ndarray, np.ndarray]:
@@ -434,32 +413,57 @@ def _basin_bounds(p: np.ndarray, peaks) -> tuple[np.ndarray, np.ndarray]:
     return first, last
 
 
-def _basin_width(z: np.ndarray, p: np.ndarray, i: int, j: int) -> float:
-    w = p[i:j + 1]
-    zz = z[i:j + 1]
-    total = w.sum()
-    mean = np.dot(zz, w) / total
-    var = np.dot((zz - mean) ** 2, w) / total
-    return float(2.0 * np.sqrt(2.0 * LN2 * max(var, 0.0)))
+def _stop_rows(p: np.ndarray, z: np.ndarray, stop_fwhm: float,
+               threshold: float) -> np.ndarray:
+    """Per row of p (strides x z): a peak exists and every peak is narrow.
+
+    Peaks as `detect_peaks`, each with `peak_collapse_width` < stop_fwhm.
+    The rows lie end to end between -inf walls, which no basin crosses,
+    for one `_basin_bounds` call; each basin's moments are masked sums
+    about its own mean.
+    """
+    n_rows, n = p.shape
+    wall = np.full((n_rows, 1), -np.inf)
+    padded = np.hstack([wall, p, wall])
+    rows, cols = np.nonzero((p > padded[:, :-2]) & (p >= padded[:, 2:])
+                            & (p >= threshold))
+    start = (rows * (n + 2) + 1)[:, None]  # flat index of each row's z[0]
+    first, last = _basin_bounds(padded.ravel(), start[:, 0] + cols)
+    cols = np.arange(n)
+    w = np.where((cols >= first[:, None] - start)
+                 & (cols <= last[:, None] - start), p[rows], 0.0)
+    total = w.sum(axis=1)
+    mean = w @ z / total
+    var = (w * (z - mean[:, None]) ** 2).sum(axis=1) / total
+    wide = ~(2.0 * np.sqrt(2.0 * LN2 * np.maximum(var, 0.0)) < stop_fwhm)
+    return ((np.bincount(rows, minlength=n_rows) > 0)
+            & (np.bincount(rows, weights=wide, minlength=n_rows) == 0))
 
 
-def _all_peaks_narrow(dist: ZDistribution, stop_fwhm: float,
-                      threshold: float) -> bool:
-    if stop_fwhm <= 0:
-        return False
-    peaks = detect_peaks(dist, threshold)
-    if not peaks:
-        return False
-    p = dist.probabilities
-    z = dist.z_values.astype(float)
-    first, last = _basin_bounds(p, peaks)
-    return all(_basin_width(z, p, i, j) < stop_fwhm
-               for i, j in zip(first.tolist(), last.tolist()))
+@lru_cache(maxsize=32)
+def _recording_grid(max_tau: float, sample_interval_tau: float | None,
+                    snapshot_taus: tuple) -> tuple[np.ndarray, tuple]:
+    """The strides' tau grid (read-only), and (snapshot tau, stride) pairs.
 
-
-def _sample_index(rng: np.random.Generator, p: np.ndarray) -> int:
-    c = np.cumsum(p)
-    return int(np.searchsorted(c, rng.random() * c[-1]))
+    A snapshot within `isclose` of an even-grid point or of another
+    snapshot shares its stride, at the snapshot's own tau (stride 0 stays
+    at 0).  Cached: an ensemble's members build it once.
+    """
+    if sample_interval_tau is None:
+        sample_interval_tau = max_tau / 400.0
+    n_steps = max(1, int(np.ceil(max_tau / sample_interval_tau)))
+    snaps = np.unique([float(s) for s in snapshot_taus if 0 <= s <= max_tau])
+    points = np.concatenate([np.linspace(0.0, max_tau, n_steps + 1), snaps])
+    order = np.argsort(points, kind="stable")
+    points, is_snap = points[order], order > n_steps
+    merged = (np.isclose(points[1:], points[:-1])
+              & (is_snap[1:] | is_snap[:-1]))
+    stride = np.concatenate(([0], np.cumsum(~merged)))
+    taus = points[np.concatenate(([True], ~merged))]
+    taus[stride[is_snap]] = points[is_snap]
+    taus[0] = 0.0
+    taus.flags.writeable = False
+    return taus, tuple(zip(points[is_snap].tolist(), stride[is_snap].tolist()))
 
 
 def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
@@ -469,10 +473,10 @@ def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
                    peak_threshold: float = PEAK_WEIGHT_THRESHOLD) -> RunRecord:
     """Simulate one quantum trajectory and record its observables.
 
-    The sampler is exact at the recording cadence: given the current state,
-    the count number in a stride is drawn from the p(z)-mixture of
-    Poissonians and the state is updated in closed form.  Deterministic for
-    a given seed.
+    z* ~ p0 is drawn once and every stride's count in one Poisson call.
+    Each block of strides' (m, t) posteriors is one array; the run stops at
+    the first stride after the start whose peaks are all narrower than
+    stop_fwhm.  Deterministic for a given seed.
     """
     if max_tau <= 0:
         raise ValueError("max_tau must be > 0")
@@ -481,59 +485,48 @@ def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
     c2 = abs(table.c_constant) ** 2
     if c2 <= 0:
         raise ValueError("zero drive: the dimensionless time is undefined")
-    tau_to_t = 1.0 / (2.0 * c2 * model.kappa)
+    taus, snap_strides = _recording_grid(max_tau, sample_interval_tau,
+                                         tuple(snapshot_taus))
+    t = taus * (1.0 / (2.0 * c2 * model.kappa))
+    p, z, lam = p0.probabilities, p0.z_values.astype(float), table.intensity
+    rates = 2.0 * model.kappa * lam
+    z_star = rng.choice(len(p), p=p)
+    m = np.concatenate(([0], np.cumsum(rng.poisson(rates[z_star]
+                                                   * np.diff(t)))))
+    moments = np.array([z, z * z, lam, lam * lam]).T
+    dark = lam == 0
+    log_lam = np.log(lam, out=np.zeros(len(lam)), where=~dark)
+    blocks, last = [], len(taus) - 1
+    for start in range(0, len(taus), _BLOCK_STRIDES):
+        block = slice(start, start + _BLOCK_STRIDES)
+        log_factor = np.outer(m[block], log_lam) - np.outer(t[block], rates)
+        log_factor[np.ix_(m[block] > 0, dark)] = -np.inf
+        post = _reweighted(p, log_factor)
+        blocks.append(post @ moments)
+        if stop_fwhm > 0:
+            stop = _stop_rows(post, z, stop_fwhm, peak_threshold)
+            stop[0] &= start > 0  # the initial state never stops the run
+            if stop.any():
+                last = start + int(np.argmax(stop))
+                break
 
-    if sample_interval_tau is None:
-        sample_interval_tau = max_tau / 400.0
-    n_steps = max(1, int(np.ceil(max_tau / sample_interval_tau)))
-    taus = np.linspace(0.0, max_tau, n_steps + 1)
-    snap_set = sorted(set(float(s) for s in snapshot_taus))
-    taus = np.unique(np.concatenate([taus, np.asarray(snap_set)]))
-    taus = taus[(taus >= 0) & (taus <= max_tau)]
-
-    state = TrajectoryState(dist=p0, amplitudes=table, kappa=model.kappa)
-    record = RunRecord(samples=[], seed=seed, config=dict(config or {}))
-
-    def push_sample(st: TrajectoryState):
-        lam = st.amplitudes.intensity
-        p = st.dist.probabilities
-        mean_lam = float(np.dot(lam, p))
-        q_red = ((float(np.dot(lam**2, p)) - mean_lam**2) / mean_lam / c2
-                 if mean_lam > 0 else 0.0)
-        record.samples.append(Sample(
-            t=st.t, tau=st.tau, m=st.m, mean_z=st.dist.mean,
-            width=st.dist.std, cond_photons_reduced=mean_lam / c2,
-            mandel_q_reduced=q_red))
-
-    # each snapshot is taken at one stride: tau = 0 at the start, any other
-    # at the first grid point after it that matches
-    snap_at: dict[int, list[float]] = {}
-    if snap_set and np.isclose(snap_set[0], 0.0):
-        snap_at[0] = [0.0]
-    for s in snap_set:
-        hits = np.flatnonzero(np.isclose(s, taus[1:])) if s > 0 else ()
-        if len(hits):
-            snap_at.setdefault(int(hits[0]) + 1, []).append(s)
-
-    def take_snapshots(k: int, st: TrajectoryState):
-        for s in snap_at.get(k, ()):
-            record.snapshots[s] = st.dist
+    mean_z, mean_z2, mean_lam, mean_lam2 = np.concatenate(blocks)[:last + 1].T
+    q = np.divide(mean_lam2 - mean_lam**2, mean_lam * c2,
+                  out=np.zeros(len(mean_lam)), where=mean_lam > 0)
+    columns = (t, 2.0 * c2 * model.kappa * t, m, mean_z,
+               np.sqrt(np.maximum(mean_z2 - mean_z**2, 0.0)), mean_lam / c2, q)
+    record = RunRecord(
+        samples=[Sample(*row) for row in
+                 zip(*(c[:last + 1].tolist() for c in columns))],
+        seed=seed, config=dict(config or {}))
+    for s, k in snap_strides:
+        if k <= last:
+            record.snapshots[s] = closed_form_distribution(
+                p0, table, model.kappa, int(m[k]), t[k])
             record.snapshot_strides[s] = k
-
-    push_sample(state)
-    take_snapshots(0, state)
-
-    rates = state.rates
-    for k in range(1, len(taus)):
-        dt = (taus[k] - taus[k - 1]) * tau_to_t
-        zi = _sample_index(rng, state.dist.probabilities)
-        counts = int(rng.poisson(rates[zi] * dt))
-        state = advance(state, dt, counts)
-        push_sample(state)
-        take_snapshots(k, state)
-        if _all_peaks_narrow(state.dist, stop_fwhm, peak_threshold):
-            break
-
-    record.final_state = state
-    record.outcome = classify_outcome(state, model, peak_threshold)
+    m_end, t_end = int(m[last]), float(t[last])
+    record.final_state = TrajectoryState(
+        dist=closed_form_distribution(p0, table, model.kappa, m_end, t_end),
+        amplitudes=table, kappa=model.kappa, m=m_end, t=t_end)
+    record.outcome = classify_outcome(record.final_state, model, peak_threshold)
     return record

@@ -7,6 +7,7 @@ from latticemc import cli
 from latticemc.cli import (ConfigError, PRESET_NAMES, RunConfig, load_preset,
                            main, parse_config, probe_model)
 from latticemc.geometry import Scenario
+from latticemc.trajectory import run_trajectory
 
 GOOD = """
 # transmission run
@@ -148,7 +149,8 @@ def test_ensemble_command(tmp_path):
 
 def test_ensemble_one_sample_per_trajectory_per_snapshot(tmp_path,
                                                          monkeypatch):
-    # fig2's grid holds tau = 0.7 and 14.6 twice; each counts once
+    # fig2's snapshots 0.7 and 14.6 lie 1e-16 from grid points; each counts
+    # once
     seen = {}
     real = cli._m_histogram
 
@@ -164,6 +166,26 @@ def test_ensemble_one_sample_per_trajectory_per_snapshot(tmp_path,
         "m_hist_tau0.7.csv", "m_hist_tau0.csv", "m_hist_tau1.1.csv",
         "m_hist_tau14.6.csv"]
     assert list(seen.values()) == [3, 3, 3, 3]
+
+
+def test_ensemble_rows_equal_single_runs(tmp_path):
+    """Ensemble row i is run_trajectory at seed [seed, i], to the byte."""
+    out = tmp_path / "out"
+    assert main(["ensemble", "--preset", "fig3", "--n-traj", "4",
+                 "--seed", "17", "--out", str(out)]) == 0
+    cfg = parse_config(load_preset("fig3"))
+    p0 = cli.initial_distribution(cfg)
+    rows = (out / "ensemble_outcomes.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    for i, row in enumerate(rows):
+        rec = run_trajectory(p0, probe_model(cfg), seed=[17, i],
+                             max_tau=cfg.max_tau, stop_fwhm=cfg.stop_fwhm,
+                             sample_interval_tau=cfg.sample_interval_tau,
+                             snapshot_taus=cfg.snapshots)
+        o = rec.outcome
+        assert row.split(",") == [
+            str(i), o.kind, str(o.z1), "" if o.z2 is None else str(o.z2),
+            str(rec.final_state.m), cli._fmt(rec.final_state.tau)]
 
 
 WRITER_VALUES = [0.0, -0.0, 5e-324, 1e-310, 1 / 3, 1e300, -2.5,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import poisson
 
+from latticemc import photostats
 from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import ProbeModel, amplitude_table
 from latticemc.photostats import (DistributionKind, PhotonDistribution,
@@ -60,6 +62,67 @@ def test_poisson_mixture_tail_truncation():
     # renormalized after capturing all but < 1e-10 of the mass
     assert d.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
     assert d.mean == pytest.approx(200.0, abs=1e-6)
+
+
+def _dense_poisson_mixture(rates, weights, start_sds=10.0):
+    """Reference: every z's Poisson terms over the whole support at once."""
+    top = rates.max(initial=0.0)
+    n_max = int(np.ceil(top + start_sds * np.sqrt(top) + 20.0))
+    while True:
+        n = np.arange(n_max + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logpmf = (np.outer(np.log(np.where(rates > 0, rates, 1.0)), n)
+                      - rates[:, None] - gammaln(n + 1.0)[None, :])
+        pmf = np.exp(logpmf)
+        pmf[rates == 0] = 0.0
+        pmf[rates == 0, 0] = 1.0
+        p = weights @ pmf
+        if 1.0 - p.sum() < 1e-10:
+            return n, p / p.sum()
+        n_max *= 2
+
+
+@pytest.mark.parametrize("rates, weights", [
+    ([0.0, 3.0, 50.0, 400.0], [0.3, 0.0, 0.5, 0.2]),  # rate 0, a zero weight
+    ([0.0, 1e-3, 0.7], [0.0, 0.5, 0.5]),
+    ([2.5e4], [1.0]),
+])
+def test_poisson_mixture_matches_dense_reference(rates, weights):
+    rates, weights = np.array(rates), np.array(weights)
+    got = poisson_mixture(rates, weights, DistributionKind.COUNTS)
+    n, p = _dense_poisson_mixture(rates, weights)
+    np.testing.assert_array_equal(got.n_values, n)
+    assert np.abs(got.probabilities - p).max() <= 1e-15
+
+
+def test_poisson_mixture_matches_dense_reference_on_a_collapse():
+    # photocount law of a maximum-scenario superfluid at tau = 0.5, 5, 30
+    p0 = superfluid_atom_number(LatticeSpec(40, 40, 20))
+    table = amplitude_table(max_model(), p0.z_values)
+    for tau in (0.5, 5.0, 30.0):
+        got = photocount_distribution(p0, table, 1.0, tau / 2.0)
+        n, p = _dense_poisson_mixture(2.0 * table.intensity * tau / 2.0,
+                                      p0.probabilities)
+        np.testing.assert_array_equal(got.n_values, n)
+        assert np.abs(got.probabilities - p).max() <= 1e-15
+
+
+def test_poisson_mixture_doubling_matches_dense_reference(monkeypatch):
+    # starting the truncation at the largest rate leaves a tail of ~0.27
+    monkeypatch.setattr(photostats, "_START_SDS", 0.0)
+    rates, weights = np.array([0.0, 1000.0]), np.array([0.25, 0.75])
+    got = poisson_mixture(rates, weights, DistributionKind.COUNTS)
+    n, p = _dense_poisson_mixture(rates, weights, start_sds=0.0)
+    assert len(n) == 2 * 1020 + 1
+    np.testing.assert_array_equal(got.n_values, n)
+    assert np.abs(got.probabilities - p).max() <= 1e-15
+
+
+def test_poisson_mixture_rejects_short_weights():
+    # the missing mass is nowhere on the n axis, so doubling cannot find it
+    with pytest.raises(ValueError, match="weights sum to"):
+        poisson_mixture(np.array([3.0, 40.0]), np.array([0.5, 0.4]),
+                        DistributionKind.COUNTS)
 
 
 def test_poisson_mixture_rejects_negative_rates():

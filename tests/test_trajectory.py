@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency, chisquare
 
 from latticemc.geometry import LatticeSpec, Scenario, ZMeaning
 from latticemc.optics import ProbeModel, amplitude_table
+from latticemc.photostats import photocount_distribution
 from latticemc.states import (ZDistribution, gaussian_approximation,
                               mott_distribution, superfluid_atom_number,
                               superfluid_difference)
 from latticemc.trajectory import (ClassificationError, NumericalAbort,
-                                  TrajectoryState, _basin_bounds, advance,
+                                  TrajectoryState, _basin_bounds, _stop_rows,
                                   classify_outcome,
                                   closed_form_distribution,
                                   conditional_photon_number, detect_peaks,
@@ -150,27 +152,6 @@ def test_mc_step_jump_frequency():
     assert abs(jumps - expect) < 3 * np.sqrt(expect)
 
 
-def test_advance_equals_explicit_interleaving():
-    st = make_state(superfluid_atom_number(SPEC), max_model())
-    bulk = advance(st, 0.4, 3)
-    step = no_count_step(st, 0.1)
-    for _ in range(3):
-        step = jump(step)
-        step = no_count_step(step, 0.1)
-    np.testing.assert_allclose(bulk.dist.probabilities,
-                               step.dist.probabilities, atol=1e-13)
-    assert bulk.m == step.m == 3
-    assert bulk.t == pytest.approx(step.t)
-
-
-def test_advance_keeps_jump_times():
-    # binned times carry nothing beyond (m, t); only `jump` records times
-    st = jump(make_state(superfluid_atom_number(SPEC), max_model()))
-    out = advance(st, 0.4, 5)
-    assert out.jump_times == st.jump_times == (0.0,)
-    assert out.m == st.m + 5
-
-
 def test_amplitude_table_log_intensity():
     table = amplitude_table(max_model(), np.arange(5))
     lam = np.abs(table.alpha) ** 2
@@ -180,14 +161,6 @@ def test_amplitude_table_log_intensity():
     assert table.log_intensity is table.log_intensity  # computed once
     with pytest.raises(ValueError):
         table.intensity[0] = 1.0
-
-
-def test_advance_validation():
-    st = two_point_state([1.0, 2.0], [0.5, 0.5])
-    with pytest.raises(ValueError):
-        advance(st, 0.0, 1)
-    with pytest.raises(ValueError):
-        advance(st, 0.1, -1)
 
 
 def test_underflow_aborts():
@@ -305,6 +278,59 @@ def test_basin_bounds_match_reference_walk():
             if p[k] > 0:  # the same sums, so bit-identical widths
                 assert peak_collapse_width(d, k) == \
                     _peak_collapse_width_reference(z, p, k)
+
+
+def _all_peaks_narrow_reference(dist, stop_fwhm, threshold):
+    """The per-distribution stop check, as the per-stride sampler ran it."""
+    if stop_fwhm <= 0:
+        return False
+    peaks = detect_peaks(dist, threshold)
+    return bool(peaks) and all(peak_collapse_width(dist, i) < stop_fwhm
+                               for i in peaks)
+
+
+def _assert_stop_rows_match(dists, stop_fwhms, thresholds):
+    p = np.array([d.probabilities for d in dists])
+    z = dists[0].z_values.astype(float)
+    seen = set()
+    for stop_fwhm in stop_fwhms:
+        for threshold in thresholds:
+            with np.errstate(invalid="ignore"):  # empty basins at threshold 0
+                got = _stop_rows(p, z, stop_fwhm, threshold)
+                want = [_all_peaks_narrow_reference(d, stop_fwhm, threshold)
+                        for d in dists]
+            assert got.tolist() == want
+            seen.update(want)
+    return seen
+
+
+def test_stop_rows_match_reference_on_tied_rows():
+    by_length = {}
+    for d in _tied_distributions(3000, seed=47):
+        by_length.setdefault(len(d.z_values), []).append(d)
+    seen = set()
+    for dists in by_length.values():
+        # 0.25 and 1/3 are values p takes; a peak at the threshold counts
+        seen |= _assert_stop_rows_match(dists, (0.3, 1.0, 2.5),
+                                        (0.0, 0.25, 1 / 3))
+    assert seen == {False, True}
+
+
+def test_stop_rows_match_reference_on_closed_form_posteriors():
+    """Posteriors along fig3-like transmission and maximum-scenario runs."""
+    seen = set()
+    for model, max_tau, interval in ((trans_model(z_p=50.0), 2100.0, 2.0),
+                                     (max_model(), 30.0, 0.025)):
+        p0 = superfluid_atom_number(SPEC)
+        table = amplitude_table(model, p0.z_values)
+        for seed in range(3):
+            rec = run_trajectory(p0, model, seed=[5, seed], max_tau=max_tau,
+                                 stop_fwhm=0.0, sample_interval_tau=interval)
+            dists = [closed_form_distribution(p0, table, model.kappa, s.m, s.t)
+                     for s in rec.samples]
+            seen |= _assert_stop_rows_match(dists, (0.05, 0.5, 2.0),
+                                            (1e-3,))
+    assert seen == {False, True}
 
 
 def test_peak_collapse_width_point_mass_vanishes():
@@ -523,20 +549,26 @@ def test_run_trajectory_snapshots():
 
 
 def test_run_trajectory_one_stride_per_snapshot_on_fig2_grid():
-    # fig2's grid holds 0.7 and 14.6 twice, 1e-16 apart
+    # fig2's even grid and snapshots hold 0.7 and 14.6 each twice, 1e-16
+    # apart; they merge into one stride at the snapshot's own tau
     p0 = superfluid_atom_number(SPEC)
     snaps = (0.0, 0.7, 1.1, 14.6)
     rec = run_trajectory(p0, trans_model(z_p=50.0), seed=[11, 0], max_tau=40.0,
                          stop_fwhm=0.0, sample_interval_tau=0.1,
                          snapshot_taus=snaps)
     taus = np.array([s.tau for s in rec.samples])
-    assert np.count_nonzero(np.isclose(taus, 0.7)) == 2
-    assert np.count_nonzero(np.isclose(taus, 14.6)) == 2
+    assert len(taus) == 401
+    assert np.count_nonzero(np.isclose(taus, 0.7)) == 1
+    assert np.count_nonzero(np.isclose(taus, 14.6)) == 1
     assert set(rec.snapshot_strides) == set(rec.snapshots) == set(snaps)
     for tau, k in rec.snapshot_strides.items():
-        # the first matching stride, whose state is the snapshot
         assert k == np.flatnonzero(np.isclose(tau, taus))[0]
-        assert rec.snapshots[tau] is not None
+        assert rec.samples[k].tau == pytest.approx(tau, rel=1e-15)
+        np.testing.assert_array_equal(
+            rec.snapshots[tau].probabilities,
+            closed_form_distribution(p0, rec.final_state.amplitudes, 1.0,
+                                     rec.samples[k].m,
+                                     rec.samples[k].t).probabilities)
     assert rec.snapshot_strides[0.0] == 0
 
 
@@ -554,3 +586,117 @@ def test_run_trajectory_validation():
     p0 = superfluid_atom_number(SPEC)
     with pytest.raises(ValueError):
         run_trajectory(p0, max_model(), seed=1, max_tau=0.0)
+
+
+def test_run_trajectory_stops_at_first_narrow_stride():
+    # past the first block of strides, so the block hand-over is covered
+    p0 = superfluid_atom_number(SPEC)
+    model = max_model()
+    rec = run_trajectory(p0, model, seed=5, max_tau=30.0, stop_fwhm=0.5,
+                         sample_interval_tau=0.01)
+    table = rec.final_state.amplitudes
+    narrow = [_all_peaks_narrow_reference(
+        closed_form_distribution(p0, table, model.kappa, s.m, s.t), 0.5,
+        1e-3) for s in rec.samples]
+    assert len(rec.samples) > 200
+    assert narrow[-1] and not any(narrow[1:-1])
+
+
+def _per_stride_reference(p0, model, seed, taus):
+    """The sampler the latent-z one replaced: each stride's count is drawn
+    from the mixture of Poissonians of the posterior reached so far."""
+    rng = np.random.default_rng(seed)
+    table = amplitude_table(model, p0.z_values)
+    t = taus / (2.0 * abs(table.c_constant) ** 2 * model.kappa)
+    rates = 2.0 * model.kappa * table.intensity
+    m = [0]
+    for k in range(1, len(t)):
+        p = closed_form_distribution(p0, table, model.kappa, m[-1],
+                                     t[k - 1]).probabilities
+        z = np.searchsorted(np.cumsum(p), rng.random() * p.sum(), "right")
+        m.append(m[-1] + int(rng.poisson(rates[z] * (t[k] - t[k - 1]))))
+    final = closed_form_distribution(p0, table, model.kappa, m[-1], t[-1])
+    return m, classify_outcome(TrajectoryState(final, table, model.kappa,
+                                               m[-1], t[-1]), model)
+
+
+def _two_sample_p(a, b, min_count=20):
+    """Chi-square p value that two samples of labels share one law.
+
+    Labels seen fewer than min_count times in both samples together are
+    pooled into one cell.
+    """
+    labels, counts = np.unique(np.concatenate([a, b]), return_counts=True)
+    rare = labels[counts < min_count]
+    cells = [np.where(np.isin(x, rare), rare.min(initial=-1) - 1, x)
+             for x in (a, b)]
+    keys = np.unique(np.concatenate(cells))
+    table = [[np.count_nonzero(c == k) for k in keys] for c in cells]
+    return chi2_contingency(table).pvalue
+
+
+@pytest.mark.statistical
+def test_latent_z_sampler_matches_per_stride_sampler():
+    """Joint law of (m(0.5), m(1.5)) and of the outcome, 2000 runs each."""
+    p0 = superfluid_atom_number(LatticeSpec(6, 6, 3))
+    model = max_model()
+    taus = np.linspace(0.0, 1.5, 31)
+    new, old = [], []
+    for i in range(2000):
+        rec = run_trajectory(p0, model, seed=[61, i], max_tau=1.5,
+                             stop_fwhm=0.0, sample_interval_tau=0.05)
+        new.append((rec.samples[10].m, rec.samples[-1].m, rec.outcome.z1))
+        m, outcome = _per_stride_reference(p0, model, [62, i], taus)
+        old.append((m[10], m[-1], outcome.z1))
+    np.testing.assert_allclose([s.tau for s in rec.samples], taus,
+                               rtol=1e-15)
+    new, old = np.array(new), np.array(old)
+    both = np.concatenate([new, old])
+    # joint cells: pooled quintiles of m(0.5) and of the later increment
+    edges1 = np.unique(np.quantile(both[:, 0], [0.2, 0.4, 0.6, 0.8]))
+    edges2 = np.unique(np.quantile(both[:, 1] - both[:, 0],
+                                   [0.2, 0.4, 0.6, 0.8]))
+
+    def cells(x):
+        return (10 * np.searchsorted(edges1, x[:, 0], side="right")
+                + np.searchsorted(edges2, x[:, 1] - x[:, 0], side="right"))
+
+    assert _two_sample_p(cells(new), cells(old)) > 0.01
+    assert _two_sample_p(new[:, 2], old[:, 2]) > 0.01
+    assert len(np.unique(new[:, 2])) >= 4
+
+
+@pytest.mark.statistical
+def test_latent_z_final_counts_follow_photocount_distribution():
+    p0 = superfluid_atom_number(LatticeSpec(6, 6, 3))
+    model = max_model()
+    tau = 0.5
+    ms = np.array([run_trajectory(p0, model, seed=[71, i], max_tau=tau,
+                                  stop_fwhm=0.0, sample_interval_tau=tau / 4
+                                  ).final_state.m for i in range(20000)])
+    table = amplitude_table(model, p0.z_values)
+    t = tau / (2.0 * abs(table.c_constant) ** 2 * model.kappa)
+    theory = photocount_distribution(p0, table, model.kappa, t).probabilities
+    expected = theory * len(ms)
+    observed = np.bincount(ms, minlength=len(expected)).astype(float)
+    assert len(observed) == len(expected)
+    # pool the tail into the last cell with at least 5 expected
+    cut = int(np.flatnonzero(expected >= 5)[-1])
+    observed[cut] += observed[cut + 1:].sum()
+    expected[cut] += expected[cut + 1:].sum()
+    keep = expected[:cut + 1] >= 5
+    obs, exp = observed[:cut + 1], expected[:cut + 1]
+    obs = np.append(obs[keep], obs[~keep].sum())
+    exp = np.append(exp[keep], exp[~keep].sum())
+    if exp[-1] == 0:
+        obs, exp = obs[:-1], exp[:-1]
+    assert chisquare(obs, exp).pvalue > 0.01
+
+
+def test_run_trajectory_initial_state_never_stops_the_run():
+    # a Mott point mass is collapsed from the start; the run still takes
+    # its first stride, as the per-stride sampler did
+    p0 = mott_distribution(LatticeSpec(100, 100, 50), np.arange(101))
+    rec = run_trajectory(p0, max_model(), seed=3, max_tau=2.0, stop_fwhm=0.5)
+    assert len(rec.samples) == 2
+    assert rec.samples[1].m > 0
