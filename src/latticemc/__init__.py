@@ -26,7 +26,7 @@ from .states import (ZDistribution, gaussian_approximation, load_distribution,
 from .trajectory import (OutcomeReport, RunRecord, TrajectoryState,
                          classify_outcome, closed_form_distribution,
                          conditional_photon_number, exact_distribution,
-                         jump, mandel_q, mc_step, no_count_step,
+                         jump, mandel_q, no_count_step,
                          predicted_widths, run_trajectory, width)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -157,14 +157,15 @@ def prefactor_exponent(model: ProbeModel, z, t: float) -> complex:
     return re + 1j * im
 
 
-def prefactor_exponent_exact(model: ProbeModel, z, t: float) -> complex:
+def prefactor_exponent_exact(model: ProbeModel, z, t: float
+                             ) -> complex | np.ndarray:
     """Exact Phi_z(t) including the transient, in closed form.
 
     Integrates i Im(eta alpha* - i u10 a0 z alpha*) - kappa |alpha|^2 over
     [0, t] with the full time-dependent amplitude alpha(s) = S + D e^(lam s)
     (S steady, D = alpha0 - S, Re lam = -kappa).  Every term is an
     exponential integral int_0^t e^(c s) ds = expm1(c t) / c; needed for
-    t < 1/kappa validation.
+    t < 1/kappa validation.  A complex array for an array z.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -177,7 +178,8 @@ def prefactor_exponent_exact(model: ProbeModel, z, t: float) -> complex:
                + abs(d) ** 2 * e2)
     # the drive term is linear in alpha*, so it integrates with alpha
     im = np.imag(_drive_term(model, z, steady * t + d * e1))
-    return complex(-model.kappa * mean_sq, im)
+    phi = -model.kappa * mean_sq + 1j * im
+    return complex(phi) if np.ndim(phi) == 0 else phi
 
 
 def cat_phase(model: ProbeModel, delta_z: float) -> float:

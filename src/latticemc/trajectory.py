@@ -8,7 +8,9 @@ its state is the closed-form posterior p0(z) |alpha_z|^(2m) e^(-2 kappa
 stride's count at the rate 2 kappa |alpha_z*|^2: by Bayes' chain rule, the
 law of drawing each count from the current posterior's Poisson mixture
 (Wiseman & Milburn, Quantum Measurement and Control, 2010).  Observables,
-stop check and outcome come from the posterior, over blocks of strides.
+stop check and outcome come from the posterior, over blocks of strides;
+an exact necessary condition on each row's highest peak passes to the full
+stop check only the few strides where it can fire.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +76,7 @@ class OutcomeReport:
     delta_z_predicted: float | None = None
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     t: float
     tau: float
     m: int
@@ -130,26 +132,6 @@ def jump(state: TrajectoryState) -> TrajectoryState:
     p = _reweighted(state.dist.probabilities, state.amplitudes.log_intensity)
     return replace(state, dist=state.dist.with_probabilities(p),
                    m=state.m + 1, jump_times=state.jump_times + (state.t,))
-
-
-def mc_step(state: TrajectoryState, dt: float, u: float
-            ) -> tuple[TrajectoryState, bool]:
-    """One first-order Monte Carlo step with a supplied uniform variate.
-
-    A jump is applied iff 2 kappa <a+a>_c dt > u, then a no-count step of
-    dt; dt must keep the per-step jump probability <= 0.05.
-    """
-    rate = float(np.dot(state.rates, state.dist.probabilities))
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    max_rate = state.rates.max()
-    if max_rate > 0 and dt > 0.05 / max_rate:
-        raise ValueError("dt too large: per-step jump probability may "
-                         "exceed 0.05")
-    jumped = rate * dt > u
-    if jumped:
-        state = jump(state)
-    return no_count_step(state, dt), jumped
 
 
 def conditional_photon_number(state: TrajectoryState) -> float:
@@ -280,28 +262,11 @@ def exact_distribution(p0: ZDistribution, model: ProbeModel,
     Intended for validation against the full-Hilbert-space oracle.
     """
     z = p0.z_values
-    p = p0.probabilities
-    logw = np.full(len(z), -np.inf)
-    for i in range(len(z)):
-        if p[i] <= 0:
-            continue
-        acc = np.log(p[i])
-        ok = True
-        for ti in jump_times:
-            a2 = abs(transient_amplitude(model, z[i], ti)) ** 2
-            if a2 <= 0:
-                ok = False
-                break
-            acc += np.log(a2)
-        if not ok:
-            continue
-        acc += 2.0 * prefactor_exponent_exact(model, z[i], t).real
-        logw[i] = acc
-    peak = logw.max()
-    if not np.isfinite(peak):
-        raise NumericalAbort("exact form: all weights vanish")
-    w = np.exp(logw - peak)
-    return p0.with_probabilities(w / w.sum())
+    log_factor = 2.0 * prefactor_exponent_exact(model, z, t).real
+    for ti in jump_times:
+        a2 = np.abs(transient_amplitude(model, z, ti)) ** 2
+        log_factor += np.log(a2, out=np.full(len(z), -np.inf), where=a2 > 0)
+    return p0.with_probabilities(_reweighted(p0.probabilities, log_factor))
 
 
 def classify_outcome(state: TrajectoryState, model: ProbeModel,
@@ -440,6 +405,35 @@ def _stop_rows(p: np.ndarray, z: np.ndarray, stop_fwhm: float,
             & (np.bincount(rows, weights=wide, minlength=n_rows) == 0))
 
 
+def _may_stop(p: np.ndarray, z: np.ndarray, stop_fwhm: float,
+              threshold: float) -> np.ndarray:
+    """Per row of p: False where `_stop_rows` cannot hold, an exact test.
+
+    The row's first argmax k rises strictly from its left neighbour and is
+    not exceeded on its right, so it is a peak if p_k >= threshold, and
+    without it no value reaches the threshold.  Its basin holds k - 1 and,
+    when p_{k+1} < p_k, k + 1, so the peak's share f of the basin weight is
+    at most f_u = p_k / (p_k + p_{k-1} + p_{k+1} [p_{k+1} < p_k]).  Let mu
+    be the basin mean, d the least grid spacing and a = |z_k - mu|.  Every
+    other basin point is at least d from z_k, hence at least d - a from mu:
+    Var >= f a^2 + (1 - f) max(d - a, 0)^2 >= d^2 f (1 - f).  At most one grid
+    point lies within d/2 of mu and it holds at most the share f, so also
+    Var >= d^2 (1 - f) / 4.  Over f <= f_u the larger bound is at least
+    d^2 min(3/16, f_u (1 - f_u)).  The row can stop only if that variance's
+    FWHM is below stop_fwhm; the comparison allows a relative margin of
+    1e-6, far above the rounding of `_stop_rows`' masked sums.
+    """
+    walled = np.zeros((len(p), p.shape[1] + 2))  # zero weight off the grid
+    walled[:, 1:-1] = p
+    cols = p.argmax(axis=1)[:, None] + np.arange(3)  # k - 1, k, k + 1
+    left, peak, right = walled[np.arange(len(p))[:, None], cols].T
+    rest = left + np.where(right < peak, right, 0.0)
+    spacing = np.diff(z).min() if len(z) > 1 else 0.0
+    var = spacing**2 * np.minimum(3.0 / 16.0, peak * rest / (peak + rest) ** 2)
+    return ((peak >= threshold)
+            & (2.0 * np.sqrt(2.0 * LN2 * var) < stop_fwhm * (1.0 + 1e-6)))
+
+
 @lru_cache(maxsize=32)
 def _recording_grid(max_tau: float, sample_interval_tau: float | None,
                     snapshot_taus: tuple) -> tuple[np.ndarray, tuple]:
@@ -476,7 +470,8 @@ def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
     z* ~ p0 is drawn once and every stride's count in one Poisson call.
     Each block of strides' (m, t) posteriors is one array; the run stops at
     the first stride after the start whose peaks are all narrower than
-    stop_fwhm.  Deterministic for a given seed.
+    stop_fwhm.  `_stop_rows` sees only the strides `_may_stop` passes.
+    Deterministic for a given seed.
     """
     if max_tau <= 0:
         raise ValueError("max_tau must be > 0")
@@ -500,15 +495,18 @@ def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
     for start in range(0, len(taus), _BLOCK_STRIDES):
         block = slice(start, start + _BLOCK_STRIDES)
         log_factor = np.outer(m[block], log_lam) - np.outer(t[block], rates)
-        log_factor[np.ix_(m[block] > 0, dark)] = -np.inf
+        if dark.any():  # no z is dark in transmission
+            log_factor[np.ix_(m[block] > 0, dark)] = -np.inf
         post = _reweighted(p, log_factor)
         blocks.append(post @ moments)
         if stop_fwhm > 0:
-            stop = _stop_rows(post, z, stop_fwhm, peak_threshold)
-            stop[0] &= start > 0  # the initial state never stops the run
-            if stop.any():
-                last = start + int(np.argmax(stop))
-                break
+            rows = np.flatnonzero(_may_stop(post, z, stop_fwhm, peak_threshold))
+            rows = rows[rows + start > 0]  # the initial state never stops
+            if rows.size:
+                stop = _stop_rows(post[rows], z, stop_fwhm, peak_threshold)
+                if stop.any():
+                    last = start + int(rows[np.argmax(stop)])
+                    break
 
     mean_z, mean_z2, mean_lam, mean_lam2 = np.concatenate(blocks)[:last + 1].T
     q = np.divide(mean_lam2 - mean_lam**2, mean_lam * c2,
@@ -516,8 +514,7 @@ def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
     columns = (t, 2.0 * c2 * model.kappa * t, m, mean_z,
                np.sqrt(np.maximum(mean_z2 - mean_z**2, 0.0)), mean_lam / c2, q)
     record = RunRecord(
-        samples=[Sample(*row) for row in
-                 zip(*(c[:last + 1].tolist() for c in columns))],
+        samples=list(map(Sample, *(c[:last + 1].tolist() for c in columns))),
         seed=seed, config=dict(config or {}))
     for s, k in snap_strides:
         if k <= last:

@@ -112,6 +112,7 @@ def test_criterion_1_oracle_equivalence(capsys):
            f"oracle equivalence, worst |dp| = {worst:.3e} < 1e-6")
 
 
+@pytest.mark.slow
 def test_criterion_2_closed_form(capsys):
     """Final p(z) of any simulated run equals its record replayed event by
     event: each stride's counts as `jump`s, then `no_count_step` over the

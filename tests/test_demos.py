@@ -15,6 +15,7 @@ def test_demos_present():
     assert len(DEMOS) >= 5
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ)

@@ -177,14 +177,20 @@ def _prefactor_exponent_quad(model, z, t, tol=1e-12):
     lambda d: transverse(u10=d, kappa=1.3, delta_p=0.4, alpha0=-0.2j),
 ], ids=["transmission", "transmission-alpha0", "maximum", "maximum-detuned"])
 def test_prefactor_exponent_exact_matches_quadrature(make):
+    zs = (0, 1, 2, 3, 7)
     for drive in (1e-4, 0.05, 0.3):
         model = make(drive)
-        for z in (0, 1, 2, 3, 7):
-            for t in (1e-3, 0.01, 0.3, 1.0, 2.5, 16.0, 20.0, 50.0):
+        for t in (1e-3, 0.01, 0.3, 1.0, 2.5, 16.0, 20.0, 50.0):
+            row = prefactor_exponent_exact(model, np.array(zs), t)
+            assert row.shape == (len(zs),) and row.dtype == complex
+            for z, in_row in zip(zs, row):
                 want = _prefactor_exponent_quad(model, z, t)
                 got = prefactor_exponent_exact(model, z, t)
+                assert type(got) is complex
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), \
                     (drive, z, t, got, want)
+                # an array z gives each z's value, to rounding
+                assert abs(in_row - got) <= 1e-15 * max(1.0, abs(got))
 
 
 def test_prefactor_exponent_exact_at_zero_and_negative_time():

@@ -2,19 +2,23 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
+from latticemc import trajectory
+from latticemc.cli import (initial_distribution, load_preset, parse_config,
+                           probe_model)
 from latticemc.geometry import LatticeSpec, Scenario, ZMeaning
-from latticemc.optics import ProbeModel, amplitude_table
+from latticemc.optics import (ProbeModel, amplitude_table,
+                              prefactor_exponent_exact, transient_amplitude)
 from latticemc.photostats import photocount_distribution
 from latticemc.states import (ZDistribution, gaussian_approximation,
                               mott_distribution, superfluid_atom_number,
                               superfluid_difference)
 from latticemc.trajectory import (ClassificationError, NumericalAbort,
-                                  TrajectoryState, _basin_bounds, _stop_rows,
-                                  classify_outcome,
+                                  TrajectoryState, _basin_bounds, _may_stop,
+                                  _stop_rows, classify_outcome,
                                   closed_form_distribution,
                                   conditional_photon_number, detect_peaks,
                                   exact_distribution, fwhm_of_peak, jump,
-                                  mandel_q, mc_step, no_count_step,
+                                  mandel_q, no_count_step,
                                   peak_collapse_width, predicted_widths,
                                   run_trajectory, width)
 
@@ -120,36 +124,6 @@ def test_normalization_preserved_over_many_steps():
         if k % 100 == 0:
             st = jump(st)
         assert abs(st.dist.probabilities.sum() - 1.0) < 1e-12
-
-
-def test_mc_step_thresholding():
-    st = make_state(superfluid_atom_number(SPEC), max_model())
-    rate = float(np.dot(st.rates, st.dist.probabilities))
-    dt = 0.05 / st.rates.max()
-    _, jumped = mc_step(st, dt, u=rate * dt * 1.01)
-    assert not jumped
-    _, jumped = mc_step(st, dt, u=rate * dt * 0.99)
-    assert jumped
-    with pytest.raises(ValueError):
-        mc_step(st, dt * 1.5, u=0.5)
-
-
-def test_mc_step_dark_state_never_jumps():
-    st = two_point_state([0.0, 4.0], [1.0, 0.0])
-    for u in (0.0, 1e-12):
-        _, jumped = mc_step(st, 1e-3, u=u)
-        assert not jumped
-
-
-def test_mc_step_jump_frequency():
-    st = make_state(superfluid_atom_number(SPEC), max_model())
-    rate = float(np.dot(st.rates, st.dist.probabilities))
-    dt = 0.04 / st.rates.max()
-    rng = np.random.default_rng(3)
-    n = 10000
-    jumps = sum(mc_step(st, dt, u=rng.random())[1] for _ in range(n))
-    expect = rate * dt * n
-    assert abs(jumps - expect) < 3 * np.sqrt(expect)
 
 
 def test_amplitude_table_log_intensity():
@@ -333,6 +307,163 @@ def test_stop_rows_match_reference_on_closed_form_posteriors():
     assert seen == {False, True}
 
 
+def _basin_variance(p, z):
+    """Variance of the basin of p's first argmax."""
+    i, j = _basin_reference(p, int(np.argmax(p)))
+    w, zz = p[i:j + 1], z[i:j + 1]
+    mean = w @ zz / w.sum()
+    return (zz - mean) ** 2 @ w / w.sum()
+
+
+def _gaussian_row(n, centre, sigma):
+    w = np.exp(-(np.arange(n) - centre) ** 2 / (2.0 * sigma**2))
+    return w / w.sum()
+
+
+def _rows_at_variance(var, z, rng):
+    """One-peak rows whose basin variance on grid z is var (to rounding).
+
+    A two-point basin [f, 1 - f] beside a zero, across the least spacing d,
+    where the bound d^2 f (1 - f) of `_may_stop` is attained, and Gaussian
+    basins about off-grid centres whose width is found by bisection.
+    """
+    rows, n = [], len(z)
+    gaps = np.diff(z)
+    k = int(rng.choice(np.flatnonzero(gaps[1:-1] == gaps.min()))) + 1
+    if var < gaps[k] ** 2 / 4:
+        f = (1.0 + np.sqrt(1.0 - 4.0 * var / gaps[k] ** 2)) / 2.0
+        row = np.zeros(n)
+        row[k], row[k + 1] = f, 1.0 - f
+        rows.append(row)
+    for centre in n / 2 + rng.uniform(-0.5, 0.5, size=4):
+        lo, hi = 1e-3, float(n)
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            if _basin_variance(_gaussian_row(n, centre, mid), z) < var:
+                lo = mid
+            else:
+                hi = mid
+        rows.append(_gaussian_row(n, centre, lo))
+    return rows
+
+
+def _broad_rows(n, rng, count):
+    """Strictly unimodal basins whose peak holds less than a quarter, some
+    narrow enough to stop at stop_fwhm 3 on a step-1 grid."""
+    rows = []
+    while len(rows) < count:
+        size = int(rng.integers(5, 9))
+        head = np.sort(rng.uniform(0.2, 0.25, 3))[::-1]
+        tail = np.sort(rng.dirichlet(np.ones(size - 3)))[::-1]
+        w = np.concatenate([head, tail * (1.0 - head.sum())])
+        if not (np.diff(w) < 0).all():
+            continue
+        # falling outward both ways: the peak, then left, right, left, ...
+        offsets = np.array([(i + 1) // 2 * (-1) ** i for i in range(size)])
+        row = np.zeros(n)
+        row[int(rng.integers(size // 2 + 1, n - 1 - (size - 1) // 2))
+            + offsets] = w
+        rows.append(row)
+    return rows
+
+
+def test_may_stop_never_rejects_a_row_stop_rows_accepts():
+    """`_may_stop` is a necessary condition for `_stop_rows`: tie-heavy rows
+    (plateaus, equal neighbours, single points), basins at variance
+    s^2 (1 +- 1e-6) for s = stop_fwhm / (2 sqrt(2 ln 2)), broad basins whose
+    peak holds less than a quarter, and rows with no value at the
+    threshold, on grids of steps 1, 2 and alternately 2 and 1."""
+    rng = np.random.default_rng(53)
+    tied = {}
+    for d in _tied_distributions(3000, seed=59):
+        tied.setdefault(len(d.z_values), []).append(d.probabilities)
+    broad = _broad_rows(12, rng, 300)
+    seen, n_checked = set(), 0
+    grids = (np.arange(12) - 6, 2 * (np.arange(12) - 6),
+             np.cumsum([0] + [2, 1] * 5 + [2]) - 8)  # steps 1, 2 and mixed
+    for grid in grids:
+        for stop_fwhm in (0.01, 0.5, 1.5, 3.0):
+            s2 = (stop_fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))) ** 2
+            tight = [row for rel in (1 - 1e-6, 1 + 1e-6)
+                     for row in _rows_at_variance(s2 * rel, grid, rng)]
+            for rows in (*tied.values(), tight, broad):
+                p = np.array(rows)
+                z = grid[:p.shape[1]]
+                # values p takes, and above every value of the broad rows
+                for threshold in (0.0, 1e-3, 0.25, 1 / 3, 0.3):
+                    with np.errstate(invalid="ignore"):  # empty basins
+                        stop = _stop_rows(p, z, stop_fwhm, threshold)
+                    may = _may_stop(p, z, stop_fwhm, threshold)
+                    assert not (stop & ~may).any()
+                    seen.update(zip(stop.tolist(), may.tolist()))
+                    n_checked += len(p)
+            # the bound is attained on a two-point basin, so it is sharp
+            if s2 * 1.00001 < np.diff(grid).min() ** 2 / 4:
+                row = _rows_at_variance(s2 * 1.00001, grid, rng)[0]
+                assert not _may_stop(row[None], grid, stop_fwhm, 0.0)[0]
+    assert n_checked > 12 * 5 * 3000
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+# the minimum scenario's z (the odd-even difference) runs in steps of 2
+_SCENARIO_CONFIG = """\
+scenario = {scenario}
+n_atoms = 100
+n_sites = 100
+n_illuminated = {n_illuminated}
+kappa = 1.0
+drive_scale = 1.0
+initial_state = superfluid
+seed = 0
+max_tau = 30
+stop_fwhm = {stop_fwhm}
+sample_interval_tau = 0.05
+snapshots = 0.5,5
+"""
+
+
+def _run_summary(p0, model, cfg, seed):
+    try:
+        rec = run_trajectory(p0, model, seed=seed, max_tau=cfg.max_tau,
+                             stop_fwhm=cfg.stop_fwhm,
+                             sample_interval_tau=cfg.sample_interval_tau,
+                             snapshot_taus=cfg.snapshots)
+    except ClassificationError as exc:
+        return repr(exc)
+    return (rec.samples, rec.outcome, rec.snapshot_strides,
+            {tau: d.probabilities.tolist() for tau, d in rec.snapshots.items()},
+            rec.final_state.m, rec.final_state.t,
+            rec.final_state.dist.probabilities.tolist())
+
+
+def test_may_stop_leaves_records_unchanged(monkeypatch):
+    """Records equal those with `_stop_rows` run on every stride: fig2-fig5,
+    a maximum- and a minimum-scenario config (step-2 grid), 3 seeds each."""
+    cases = [parse_config(load_preset(name))
+             for name in ("fig2", "fig3", "fig4", "fig5")]
+    cases += [parse_config(_SCENARIO_CONFIG.format(
+        scenario=scenario, n_illuminated=n_illuminated, stop_fwhm=stop_fwhm))
+        for scenario, n_illuminated, stop_fwhm in (("maximum", 50, 0.3),
+                                                   ("minimum", 100, 0.4))]
+    cases = [(cfg, initial_distribution(cfg), probe_model(cfg))
+             for cfg in cases]
+    seeds = [[seed, i] for seed in (5, 6, 7) for i in range(4)]
+
+    def summaries():
+        return [[_run_summary(p0, model, cfg, seed) for seed in seeds]
+                for cfg, p0, model in cases]
+
+    filtered = summaries()
+    monkeypatch.setattr(trajectory, "_may_stop",
+                        lambda p, *args: np.ones(len(p), dtype=bool))
+    assert summaries() == filtered
+    # the stop check fired in every config, and the taxonomy failed somewhere
+    for (cfg, _, _), runs in zip(cases, filtered):
+        assert any(not isinstance(r, str) and r[0][-1].tau < cfg.max_tau
+                   for r in runs)
+    assert any(isinstance(r, str) for runs in filtered for r in runs)
+
+
 def test_peak_collapse_width_point_mass_vanishes():
     d = mott_distribution(LatticeSpec(10, 10, 5), np.arange(11))
     assert peak_collapse_width(d, 5) == 0.0
@@ -399,6 +530,45 @@ def test_exact_distribution_reduces_to_closed_form_late():
                                       len(jump_times), t_end)
     exact = exact_distribution(p0, model, jump_times, t_end)
     assert np.max(np.abs(exact.probabilities - steady.probabilities)) < 1e-6
+
+
+def _exact_distribution_reference(p0, model, jump_times, t):
+    """The per-z loop `exact_distribution` ran before it took the z array."""
+    z, p = p0.z_values, p0.probabilities
+    logw = np.full(len(z), -np.inf)
+    for i in range(len(z)):
+        a2 = [abs(transient_amplitude(model, z[i], ti)) ** 2
+              for ti in jump_times]
+        if p[i] > 0 and min(a2, default=1.0) > 0:
+            logw[i] = (np.log(p[i]) + np.sum(np.log(a2))
+                       + 2.0 * prefactor_exponent_exact(model, z[i], t).real)
+    w = np.exp(logw - logw.max())
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("model", [
+    trans_model(z_p=2.0, eta=0.3),
+    ProbeModel(Scenario.TRANSMISSION, kappa=1.0, u11=1.0, eta=1.0,
+               delta_p=3.0, alpha0=0.2 + 0.1j),
+    max_model(),  # z = 0 is dark at every jump
+    ProbeModel(Scenario.MAXIMUM, kappa=0.7, u10=1.0, a0=1.0, alpha0=0.5)])
+def test_exact_distribution_matches_per_z_loop(model):
+    p0 = superfluid_atom_number(LatticeSpec(6, 3, 2))
+    for jump_times, t in (((), 0.3), ((0.2, 0.4, 0.41), 2.0), ((1.5,), 1.5)):
+        got = exact_distribution(p0, model, jump_times, t).probabilities
+        # the log weights are summed in another order: a few ulps of ~50
+        np.testing.assert_allclose(
+            got, _exact_distribution_reference(p0, model, jump_times, t),
+            rtol=1e-12, atol=0.0)
+        if jump_times and model.alpha0 == 0 and model.a0 != 0:
+            assert got[0] == 0.0
+
+
+def test_exact_distribution_aborts_when_every_z_is_dark():
+    # alpha(0) = alpha0 = 0 for every z, so a jump at t = 0 has no weight
+    p0 = superfluid_atom_number(LatticeSpec(6, 3, 2))
+    with pytest.raises(NumericalAbort):
+        exact_distribution(p0, max_model(), (0.0,), 1.0)
 
 
 # ------------------------------------------------------------ classification
@@ -635,6 +805,7 @@ def _two_sample_p(a, b, min_count=20):
     return chi2_contingency(table).pvalue
 
 
+@pytest.mark.slow
 @pytest.mark.statistical
 def test_latent_z_sampler_matches_per_stride_sampler():
     """Joint law of (m(0.5), m(1.5)) and of the outcome, 2000 runs each."""
@@ -666,6 +837,7 @@ def test_latent_z_sampler_matches_per_stride_sampler():
     assert len(np.unique(new[:, 2])) >= 4
 
 
+@pytest.mark.slow
 @pytest.mark.statistical
 def test_latent_z_final_counts_follow_photocount_distribution():
     p0 = superfluid_atom_number(LatticeSpec(6, 6, 3))
