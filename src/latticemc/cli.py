@@ -316,7 +316,7 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
         for tau, samples in m_at_tau.items():
             k = record.snapshot_strides.get(tau)
             if k is not None:
-                samples.append(record.samples[k].m)
+                samples.append(int(record.m[k]))
 
     with open(out_dir / "ensemble_summary.json", "w") as fh:
         json.dump({"n_traj": n_traj, "outcomes": counts,

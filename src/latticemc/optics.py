@@ -9,7 +9,7 @@ rotating at the probe frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,7 +67,8 @@ class ProbeModel:
 
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """Steady amplitudes alpha_z precomputed on the z grid."""
+    """Steady amplitudes alpha_z on the z grid, read-only: `amplitude_table`
+    hands every caller of a (model, grid) the same table."""
 
     z_values: np.ndarray
     alpha: np.ndarray
@@ -75,12 +76,13 @@ class AmplitudeTable:
     z_p: float | None = None
 
     def __post_init__(self):
-        z = np.asarray(self.z_values, dtype=int)
-        a = np.asarray(self.alpha, dtype=complex)
+        z = np.array(self.z_values, dtype=int)
+        a = np.array(self.alpha, dtype=complex)
         if z.shape != a.shape:
             raise ValueError("z_values and alpha must have equal shape")
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite amplitude")
+        z.flags.writeable = a.flags.writeable = False
         object.__setattr__(self, "z_values", z)
         object.__setattr__(self, "alpha", a)
 
@@ -118,7 +120,12 @@ def steady_amplitude(model: ProbeModel, z) -> complex | np.ndarray:
 
 
 def amplitude_table(model: ProbeModel, z_grid) -> AmplitudeTable:
-    z = np.asarray(z_grid, dtype=int)
+    return _amplitude_table(model, np.asarray(z_grid, dtype=int).tobytes())
+
+
+@lru_cache(maxsize=32)
+def _amplitude_table(model: ProbeModel, z_bytes: bytes) -> AmplitudeTable:
+    z = np.frombuffer(z_bytes, dtype=int)
     z_p = model.z_p if model.scenario is Scenario.TRANSMISSION else None
     return AmplitudeTable(z, steady_amplitude(model, z), model.c_constant, z_p)
 

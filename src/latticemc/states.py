@@ -35,7 +35,7 @@ class ZDistribution:
             raise ValueError("z_values must be strictly increasing")
         if np.any(p < 0):
             raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > _NORM_TOL:
+        if not abs(p.sum() - 1.0) <= _NORM_TOL:  # nan fails too
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "z_values", z)
         object.__setattr__(self, "probabilities", p)
@@ -53,7 +53,10 @@ class ZDistribution:
         return float(np.sqrt(max(self.variance, 0.0)))
 
     def with_probabilities(self, p: np.ndarray) -> "ZDistribution":
-        return ZDistribution(self.z_values, p, self.meaning)
+        """The same grid with probabilities p, taken as valid: unchecked."""
+        new = object.__new__(ZDistribution)
+        new.__dict__.update(self.__dict__, probabilities=p)
+        return new
 
 
 def _normalized(weights: np.ndarray) -> np.ndarray:

@@ -7,17 +7,17 @@ its state is the closed-form posterior p0(z) |alpha_z|^(2m) e^(-2 kappa
 |alpha_z|^2 t).  The sampler therefore draws a latent z* ~ p0 once and each
 stride's count at the rate 2 kappa |alpha_z*|^2: by Bayes' chain rule, the
 law of drawing each count from the current posterior's Poisson mixture
-(Wiseman & Milburn, Quantum Measurement and Control, 2010).  Observables,
-stop check and outcome come from the posterior, over blocks of strides;
-an exact necessary condition on each row's highest peak passes to the full
-stop check only the few strides where it can fire.
+(Wiseman & Milburn, Quantum Measurement and Control, 2010).  A run records
+its counts m at the grid times t; observables are computed from them when
+read.  An exact necessary condition on the log weights passes to the stop
+check only the few strides where it can fire.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,7 @@ from .optics import (AmplitudeTable, ProbeModel, amplitude_table, cat_phase,
 from .states import ZDistribution
 
 PEAK_WEIGHT_THRESHOLD = 1e-3
-# strides whose posteriors run_trajectory evaluates as one array
+# strides per block of log weights; the observables' bits depend on it
 _BLOCK_STRIDES = 128
 LN2 = float(np.log(2.0))
 
@@ -51,17 +51,11 @@ class TrajectoryState:
     kappa: float
     m: int = 0
     t: float = 0.0
-    jump_times: tuple[float, ...] = ()
 
     @property
     def tau(self) -> float:
         """Dimensionless time 2|C|^2 kappa t."""
         return 2.0 * abs(self.amplitudes.c_constant) ** 2 * self.kappa * self.t
-
-    @property
-    def rates(self) -> np.ndarray:
-        """Per-z detection rates 2 kappa |alpha_z|^2."""
-        return 2.0 * self.kappa * self.amplitudes.intensity
 
 
 @dataclass(frozen=True)
@@ -88,14 +82,46 @@ class Sample(NamedTuple):
 
 @dataclass
 class RunRecord:
-    samples: list[Sample]
+    """A run's counts m at the grid times t; observables computed on read."""
+
+    m: np.ndarray  # counts at strides 0..stop
+    t: np.ndarray  # times of every stride of the recording grid
+    p0: ZDistribution
+    final_state: TrajectoryState
+    outcome: OutcomeReport
+    snapshot_strides: dict  # snapshot tau -> its stride, up to the stop
     seed: object
     config: dict
-    outcome: OutcomeReport | None = None
-    snapshots: dict = field(default_factory=dict)
-    # snapshot tau -> index into `samples` of the stride it was taken at
-    snapshot_strides: dict = field(default_factory=dict)
-    final_state: TrajectoryState | None = None
+
+    @cached_property
+    def samples(self) -> list[Sample]:
+        """Per-stride observables of the posterior, strides 0..stop."""
+        table, kappa = self.final_state.amplitudes, self.final_state.kappa
+        c2, n, b = abs(table.c_constant) ** 2, len(self.m), _BLOCK_STRIDES
+        z, lam = self.p0.z_values.astype(float), table.intensity
+        moments = np.array([z, z * z, lam, lam * lam]).T
+        # whole blocks, rows past the stop at its count: a row's bits do not
+        # depend on where the run stopped
+        t = self.t[:-(-n // b) * b]
+        m = np.pad(self.m, (0, len(t) - n), mode="edge")
+        mean_z, mean_z2, mean_lam, mean_lam2 = np.concatenate([
+            _reweighted(self.p0.probabilities, _log_factor(
+                table, kappa, m[i:i + b], t[i:i + b])) @ moments
+            for i in range(0, len(t), b)])[:n].T
+        q = np.divide(mean_lam2 - mean_lam**2, mean_lam * c2,
+                      out=np.zeros(n), where=mean_lam > 0)
+        columns = (t, 2.0 * c2 * kappa * t, self.m, mean_z,
+                   np.sqrt(np.maximum(mean_z2 - mean_z**2, 0.0)),
+                   mean_lam / c2, q)
+        return list(map(Sample, *(c[:n].tolist() for c in columns)))
+
+    @cached_property
+    def snapshots(self) -> dict:
+        """Snapshot tau -> the posterior at its stride."""
+        st = self.final_state
+        return {s: closed_form_distribution(self.p0, st.amplitudes, st.kappa,
+                                            int(self.m[k]), self.t[k])
+                for s, k in self.snapshot_strides.items()}
 
 
 def _reweighted(p: np.ndarray, log_factor: np.ndarray) -> np.ndarray:
@@ -112,6 +138,17 @@ def _reweighted(p: np.ndarray, log_factor: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
+def _log_factor(table: AmplitudeTable, kappa: float, m: np.ndarray,
+                t: np.ndarray) -> np.ndarray:
+    """log(|alpha_z|^(2m) e^(-2 kappa |alpha_z|^2 t)) per (m, t) row."""
+    lam, dark = table.intensity, table.intensity == 0
+    log_factor = (np.outer(m, np.log(lam, out=np.zeros(len(lam)), where=~dark))
+                  - np.outer(t, 2.0 * kappa * lam))
+    if dark.any():  # no z is dark in transmission
+        log_factor[np.ix_(m > 0, dark)] = -np.inf
+    return log_factor
+
+
 def no_count_step(state: TrajectoryState, dt: float) -> TrajectoryState:
     """No-detection evolution over dt: p(z) *= exp(-2|alpha_z|^2 kappa dt).
 
@@ -119,7 +156,8 @@ def no_count_step(state: TrajectoryState, dt: float) -> TrajectoryState:
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    p = _reweighted(state.dist.probabilities, -state.rates * dt)
+    p = _reweighted(state.dist.probabilities,
+                    -2.0 * state.kappa * state.amplitudes.intensity * dt)
     return replace(state, dist=state.dist.with_probabilities(p),
                    t=state.t + dt)
 
@@ -130,8 +168,7 @@ def jump(state: TrajectoryState) -> TrajectoryState:
     if np.dot(lam, state.dist.probabilities) <= 0:
         raise RuntimeError("jump on a dark state: all support has alpha_z = 0")
     p = _reweighted(state.dist.probabilities, state.amplitudes.log_intensity)
-    return replace(state, dist=state.dist.with_probabilities(p),
-                   m=state.m + 1, jump_times=state.jump_times + (state.t,))
+    return replace(state, dist=state.dist.with_probabilities(p), m=state.m + 1)
 
 
 def conditional_photon_number(state: TrajectoryState) -> float:
@@ -405,33 +442,36 @@ def _stop_rows(p: np.ndarray, z: np.ndarray, stop_fwhm: float,
             & (np.bincount(rows, weights=wide, minlength=n_rows) == 0))
 
 
-def _may_stop(p: np.ndarray, z: np.ndarray, stop_fwhm: float,
-              threshold: float) -> np.ndarray:
-    """Per row of p: False where `_stop_rows` cannot hold, an exact test.
+def _may_stop(logw: np.ndarray, z: np.ndarray, stop_fwhm: float) -> np.ndarray:
+    """Per row of log weights logw = log p0 + log_factor, summed as
+    `_reweighted` sums them: False where `_stop_rows` cannot hold on the
+    row's posterior p, an exact test that needs no normaliser.
 
-    The row's first argmax k rises strictly from its left neighbour and is
-    not exceeded on its right, so it is a peak if p_k >= threshold, and
-    without it no value reaches the threshold.  Its basin holds k - 1 and,
-    when p_{k+1} < p_k, k + 1, so the peak's share f of the basin weight is
-    at most f_u = p_k / (p_k + p_{k-1} + p_{k+1} [p_{k+1} < p_k]).  Let mu
-    be the basin mean, d the least grid spacing and a = |z_k - mu|.  Every
-    other basin point is at least d from z_k, hence at least d - a from mu:
-    Var >= f a^2 + (1 - f) max(d - a, 0)^2 >= d^2 f (1 - f).  At most one grid
-    point lies within d/2 of mu and it holds at most the share f, so also
+    Take the first argmax k.  A row passes if a neighbour's log weight is
+    within 1e-9 of logw_k, as it might tie p_k after the exponential.  Else
+    p_k is the largest p and exceeds p_{k+-1} strictly, so if any peak
+    reaches the threshold, k is a peak whose basin holds k - 1 and k + 1:
+    the peak's share f of the basin weight is at most f_u = 1 / (1 + r), r
+    the ratios exp(logw_{k+-1} - logw_k) summed.  With mu the basin mean, d
+    the least grid spacing and a = |z_k - mu|, every other basin point is at
+    least d from z_k, hence d - a from mu: Var >= f a^2 + (1 - f)
+    max(d - a, 0)^2 >= d^2 f (1 - f).  At most one grid point lies within d/2
+    of mu and it holds at most the share f, so also
     Var >= d^2 (1 - f) / 4.  Over f <= f_u the larger bound is at least
     d^2 min(3/16, f_u (1 - f_u)).  The row can stop only if that variance's
-    FWHM is below stop_fwhm; the comparison allows a relative margin of
-    1e-6, far above the rounding of `_stop_rows`' masked sums.
+    FWHM is below stop_fwhm, up to a relative margin of 1e-6, far above
+    the rounding of r and of `_stop_rows`' masked sums.
     """
-    walled = np.zeros((len(p), p.shape[1] + 2))  # zero weight off the grid
-    walled[:, 1:-1] = p
-    cols = p.argmax(axis=1)[:, None] + np.arange(3)  # k - 1, k, k + 1
-    left, peak, right = walled[np.arange(len(p))[:, None], cols].T
-    rest = left + np.where(right < peak, right, 0.0)
-    spacing = np.diff(z).min() if len(z) > 1 else 0.0
-    var = spacing**2 * np.minimum(3.0 / 16.0, peak * rest / (peak + rest) ** 2)
-    return ((peak >= threshold)
-            & (2.0 * np.sqrt(2.0 * LN2 * var) < stop_fwhm * (1.0 + 1e-6)))
+    k, n = logw.argmax(axis=1), logw.shape[1]
+    at = k + n * np.arange(len(logw))  # flat index of each row's argmax
+    near = np.take(logw, [at - 1, at + 1], mode="clip")  # k - 1 and k + 1
+    near[0, k == 0] = near[1, k == n - 1] = -np.inf  # off the grid
+    gaps = logw.ravel()[at] - near  # +inf where p is 0, nan if all are
+    ratio = np.exp(-gaps).sum(axis=0)
+    spacing = (z[1:] - z[:-1]).min() if n > 1 else 0.0
+    var = spacing**2 * np.minimum(3.0 / 16.0, ratio / (1.0 + ratio) ** 2)
+    return (~(gaps >= 1e-9).all(axis=0)
+            | (2.0 * np.sqrt(2.0 * LN2 * var) < stop_fwhm * (1.0 + 1e-6)))
 
 
 @lru_cache(maxsize=32)
@@ -465,12 +505,12 @@ def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
                    sample_interval_tau: float | None = None,
                    snapshot_taus=(), config: dict | None = None,
                    peak_threshold: float = PEAK_WEIGHT_THRESHOLD) -> RunRecord:
-    """Simulate one quantum trajectory and record its observables.
+    """Simulate one quantum trajectory and record its counts.
 
     z* ~ p0 is drawn once and every stride's count in one Poisson call.
-    Each block of strides' (m, t) posteriors is one array; the run stops at
-    the first stride after the start whose peaks are all narrower than
-    stop_fwhm.  `_stop_rows` sees only the strides `_may_stop` passes.
+    The run stops at the first stride after the start whose peaks are all
+    narrower than stop_fwhm; over each block of strides, only the rows
+    `_may_stop` passes get a posterior and `_stop_rows`.
     Deterministic for a given seed.
     """
     if max_tau <= 0:
@@ -483,47 +523,29 @@ def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
     taus, snap_strides = _recording_grid(max_tau, sample_interval_tau,
                                          tuple(snapshot_taus))
     t = taus * (1.0 / (2.0 * c2 * model.kappa))
-    p, z, lam = p0.probabilities, p0.z_values.astype(float), table.intensity
-    rates = 2.0 * model.kappa * lam
-    z_star = rng.choice(len(p), p=p)
-    m = np.concatenate(([0], np.cumsum(rng.poisson(rates[z_star]
-                                                   * np.diff(t)))))
-    moments = np.array([z, z * z, lam, lam * lam]).T
-    dark = lam == 0
-    log_lam = np.log(lam, out=np.zeros(len(lam)), where=~dark)
-    blocks, last = [], len(taus) - 1
-    for start in range(0, len(taus), _BLOCK_STRIDES):
+    p, z = p0.probabilities, p0.z_values.astype(float)
+    rate = 2.0 * model.kappa * table.intensity[rng.choice(len(p), p=p)]
+    m = np.concatenate(([0], np.cumsum(rng.poisson(rate * np.diff(t)))))
+    log_p = np.log(p, out=np.full(len(p), -np.inf), where=p > 0)
+    last = len(t) - 1
+    # the initial state never stops the run
+    for start in range(1, len(t), _BLOCK_STRIDES) if stop_fwhm > 0 else ():
         block = slice(start, start + _BLOCK_STRIDES)
-        log_factor = np.outer(m[block], log_lam) - np.outer(t[block], rates)
-        if dark.any():  # no z is dark in transmission
-            log_factor[np.ix_(m[block] > 0, dark)] = -np.inf
-        post = _reweighted(p, log_factor)
-        blocks.append(post @ moments)
-        if stop_fwhm > 0:
-            rows = np.flatnonzero(_may_stop(post, z, stop_fwhm, peak_threshold))
-            rows = rows[rows + start > 0]  # the initial state never stops
-            if rows.size:
-                stop = _stop_rows(post[rows], z, stop_fwhm, peak_threshold)
-                if stop.any():
-                    last = start + int(rows[np.argmax(stop)])
-                    break
+        log_factor = _log_factor(table, model.kappa, m[block], t[block])
+        rows = np.flatnonzero(_may_stop(log_p + log_factor, z, stop_fwhm))
+        if rows.size:
+            stop = _stop_rows(_reweighted(p, log_factor[rows]), z, stop_fwhm,
+                              peak_threshold)
+            if stop.any():
+                last = start + int(rows[np.argmax(stop)])
+                break
 
-    mean_z, mean_z2, mean_lam, mean_lam2 = np.concatenate(blocks)[:last + 1].T
-    q = np.divide(mean_lam2 - mean_lam**2, mean_lam * c2,
-                  out=np.zeros(len(mean_lam)), where=mean_lam > 0)
-    columns = (t, 2.0 * c2 * model.kappa * t, m, mean_z,
-               np.sqrt(np.maximum(mean_z2 - mean_z**2, 0.0)), mean_lam / c2, q)
-    record = RunRecord(
-        samples=list(map(Sample, *(c[:last + 1].tolist() for c in columns))),
-        seed=seed, config=dict(config or {}))
-    for s, k in snap_strides:
-        if k <= last:
-            record.snapshots[s] = closed_form_distribution(
-                p0, table, model.kappa, int(m[k]), t[k])
-            record.snapshot_strides[s] = k
     m_end, t_end = int(m[last]), float(t[last])
-    record.final_state = TrajectoryState(
+    final_state = TrajectoryState(
         dist=closed_form_distribution(p0, table, model.kappa, m_end, t_end),
         amplitudes=table, kappa=model.kappa, m=m_end, t=t_end)
-    record.outcome = classify_outcome(record.final_state, model, peak_threshold)
-    return record
+    return RunRecord(
+        m=m[:last + 1], t=t, p0=p0, final_state=final_state,
+        outcome=classify_outcome(final_state, model, peak_threshold),
+        snapshot_strides={s: k for s, k in snap_strides if k <= last},
+        seed=seed, config=dict(config or {}))

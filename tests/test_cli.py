@@ -1,9 +1,11 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latticemc import cli
+from latticemc import cli, trajectory
 from latticemc.cli import (ConfigError, PRESET_NAMES, RunConfig, load_preset,
                            main, parse_config, probe_model)
 from latticemc.geometry import Scenario
@@ -188,6 +190,47 @@ def test_ensemble_rows_equal_single_runs(tmp_path):
             str(rec.final_state.m), cli._fmt(rec.final_state.tau)]
 
 
+def test_ensemble_computes_no_observables(tmp_path, monkeypatch):
+    """An ensemble reads only each member's counts, stop and outcome."""
+    def refuse(self):
+        raise AssertionError("computed a member's observables")
+
+    monkeypatch.setattr(trajectory.RunRecord, "samples", property(refuse))
+    monkeypatch.setattr(trajectory.RunRecord, "snapshots", property(refuse))
+    for preset in ("fig2", "fig3"):
+        out = tmp_path / preset
+        assert main(["ensemble", "--preset", preset, "--n-traj", "3",
+                     "--seed", "11", "--out", str(out)]) == 0
+        assert list(out.glob("m_hist_*"))
+
+
+DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
+
+
+def output_digests(out_root: Path) -> dict:
+    """Exit code and sha256 of every file `trajectory` and `ensemble
+    --n-traj 6` write on fig2-fig5 at seed 11."""
+    digests = {}
+    for preset in ("fig2", "fig3", "fig4", "fig5"):
+        for command, extra in (("trajectory", []),
+                               ("ensemble", ["--n-traj", "6"])):
+            out = out_root / f"{command}-{preset}"
+            rc = main([command, "--preset", preset, "--seed", "11",
+                       "--out", str(out), *extra])
+            digests[f"{command} {preset}"] = {
+                "exit_code": rc,
+                "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                          for p in sorted(out.glob("*"))}}
+    return digests
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    """The commands' outputs keep their bytes; an intended change of the
+    outputs records new digests with `PYTHONPATH=src python
+    tests/test_cli.py`."""
+    assert output_digests(tmp_path) == json.loads(DIGESTS.read_text())
+
+
 WRITER_VALUES = [0.0, -0.0, 5e-324, 1e-310, 1 / 3, 1e300, -2.5,
                  np.float64(1.7976931348623157e308), np.float64(-1e-300),
                  np.float64(123456789.123456789), 1.0, 1e16, 0.1]
@@ -275,3 +318,11 @@ def test_oracle_check_command(tmp_path):
     lines = (out / "oracle_check.csv").read_text().splitlines()
     assert lines[0] == "n_atoms,scenario,max_abs_deviation"
     assert all(float(line.split(",")[2]) < 1e-6 for line in lines[1:])
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = output_digests(Path(tmp))
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

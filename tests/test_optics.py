@@ -71,6 +71,23 @@ def test_amplitude_table_matches_pointwise():
     assert table.z_p == pytest.approx(5.0)
 
 
+def test_amplitude_table_cached_and_read_only():
+    model = transmission(z_p=5.0)
+    z = np.arange(11)
+    table = amplitude_table(model, z)
+    assert amplitude_table(model, z.copy()) is table
+    assert amplitude_table(transmission(z_p=5.0), list(z)) is table
+    assert amplitude_table(transmission(z_p=6.0), z) is not table
+    assert amplitude_table(model, np.arange(12)) is not table
+    assert z.flags.writeable  # the caller's grid is not frozen
+    for arr in (table.alpha, table.z_values, table.intensity,
+                table.log_intensity):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    built = AmplitudeTable(z, np.ones(11), 1.0 + 0j)
+    assert z.flags.writeable and not built.z_values.flags.writeable
+
+
 def test_amplitude_table_rejects_nonfinite():
     with pytest.raises(ValueError):
         AmplitudeTable(np.array([0, 1]), np.array([0.0, np.nan]), 1.0 + 0j)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
@@ -86,7 +88,6 @@ def test_jump_reweights_by_intensity():
     np.testing.assert_allclose(out.dist.probabilities, [0.25, 0.75],
                                atol=1e-15)
     assert out.m == 1
-    assert out.jump_times == (0.0,)
 
 
 def test_jump_on_point_mass_is_identity():
@@ -367,12 +368,57 @@ def _broad_rows(n, rng, count):
     return rows
 
 
+def _log_rows(rows, rng, scale):
+    """Log weights of the rows, each shifted by its own random offset."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(np.array(rows))
+    return logw + rng.uniform(-scale, scale, size=(len(logw), 1))
+
+
+def _near_tie_rows(n, rng, count):
+    """Rows whose top log weight has a neighbour 0, 1e-17, 1e-12, 1e-9 or
+    2e-9 below it, one side or both, amid -inf (dark) entries and small
+    tails, at magnitudes up to 1e6 where a gap of 1e-12 rounds to 0."""
+    rows = []
+    for _ in range(count):
+        row = np.where(rng.random(n) < 0.5, -np.inf, rng.uniform(-60, -20, n))
+        k = int(rng.integers(n))
+        top = float(rng.choice([0.0, 1.5, -3e3, 1e6]))
+        row[k] = top
+        for side in ([-1], [1], [-1, 1])[rng.integers(3)]:
+            if 0 <= k + side < n:
+                row[k + side] = top - rng.choice([0.0, 1e-17, 1e-12, 1e-9,
+                                                  2e-9])
+        rows.append(row)
+    return np.array(rows)
+
+
+def _symmetric_rows(z, rng, count):
+    """Minimum-scenario log weights, even in z: a binomial prior times the
+    closed-form factor at random (m, t), some exactly symmetric and some
+    as the closed form rounds them."""
+    from scipy.stats import binom
+    n = len(z) - 1
+    log_p0 = binom.logpmf(np.arange(n + 1), n, 0.5)
+    lam = z.astype(float) ** 2
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(lam)
+    rows = []
+    for _ in range(count):
+        m, t = int(rng.integers(1, 400)), rng.uniform(0.1, 30.0)
+        row = log_p0 + m * log_lam - t * lam
+        rows += [row, np.maximum(row, row[::-1])]
+    return np.array(rows)
+
+
 def test_may_stop_never_rejects_a_row_stop_rows_accepts():
-    """`_may_stop` is a necessary condition for `_stop_rows`: tie-heavy rows
-    (plateaus, equal neighbours, single points), basins at variance
-    s^2 (1 +- 1e-6) for s = stop_fwhm / (2 sqrt(2 ln 2)), broad basins whose
-    peak holds less than a quarter, and rows with no value at the
-    threshold, on grids of steps 1, 2 and alternately 2 and 1."""
+    """`_may_stop` on log weights is a necessary condition for `_stop_rows`
+    on their posterior: tie-heavy rows (plateaus, equal neighbours, single
+    points, -inf where p is 0), basins at variance s^2 (1 +- 1e-6) for
+    s = stop_fwhm / (2 sqrt(2 ln 2)), broad basins whose peak holds less
+    than a quarter, neighbours within 1e-9 of the top, and symmetric
+    minimum-scenario rows, on grids of steps 1, 2 and alternately 2 and 1,
+    at thresholds up to one no value reaches, with log offsets up to 1e6."""
     rng = np.random.default_rng(53)
     tied = {}
     for d in _tied_distributions(3000, seed=59):
@@ -381,28 +427,67 @@ def test_may_stop_never_rejects_a_row_stop_rows_accepts():
     seen, n_checked = set(), 0
     grids = (np.arange(12) - 6, 2 * (np.arange(12) - 6),
              np.cumsum([0] + [2, 1] * 5 + [2]) - 8)  # steps 1, 2 and mixed
+    log_rng = np.random.default_rng(67)  # offsets and log-weight rows
+    symmetric = _symmetric_rows(2 * np.arange(-10, 11), log_rng, 200)
     for grid in grids:
         for stop_fwhm in (0.01, 0.5, 1.5, 3.0):
             s2 = (stop_fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))) ** 2
             tight = [row for rel in (1 - 1e-6, 1 + 1e-6)
                      for row in _rows_at_variance(s2 * rel, grid, rng)]
-            for rows in (*tied.values(), tight, broad):
-                p = np.array(rows)
-                z = grid[:p.shape[1]]
-                # values p takes, and above every value of the broad rows
-                for threshold in (0.0, 1e-3, 0.25, 1 / 3, 0.3):
-                    with np.errstate(invalid="ignore"):  # empty basins
+            cases = [(_log_rows(rows, log_rng, scale), grid)
+                     for rows in (*tied.values(), tight, broad)
+                     for scale in (0.0, 1e3, 1e6)]
+            cases += [(_near_tie_rows(12, log_rng, 500), grid),
+                      (symmetric, 2 * np.arange(-10, 11))]
+            for logw, z in cases:
+                z = z[:logw.shape[1]]
+                with np.errstate(invalid="ignore"):  # empty basins
+                    p = trajectory._reweighted(np.ones(logw.shape[1]), logw)
+                    may = _may_stop(logw, z, stop_fwhm)
+                    # values p takes, and above every value of the broad rows
+                    for threshold in (0.0, 1e-3, 0.25, 1 / 3, 0.3):
                         stop = _stop_rows(p, z, stop_fwhm, threshold)
-                    may = _may_stop(p, z, stop_fwhm, threshold)
-                    assert not (stop & ~may).any()
-                    seen.update(zip(stop.tolist(), may.tolist()))
-                    n_checked += len(p)
+                        assert not (stop & ~may).any()
+                        seen.update(zip(stop.tolist(), may.tolist()))
+                        n_checked += len(p)
             # the bound is attained on a two-point basin, so it is sharp
             if s2 * 1.00001 < np.diff(grid).min() ** 2 / 4:
                 row = _rows_at_variance(s2 * 1.00001, grid, rng)[0]
-                assert not _may_stop(row[None], grid, stop_fwhm, 0.0)[0]
-    assert n_checked > 12 * 5 * 3000
+                assert not _may_stop(_log_rows([row], log_rng, 1e3), grid,
+                                     stop_fwhm)[0]
+    assert n_checked > 12 * 5 * 3 * 3000
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_may_stop_passes_a_neighbour_that_ties_after_the_exponential():
+    """1e-17 below the top, p ties: the left point is the one peak, a point
+    mass, so the row stops at any stop_fwhm, though the ratio bound would
+    reject it.  1e-9 below, p does not tie and the bound decides."""
+    z = np.arange(4)
+    for gap, stops in ((1e-17, True), (1e-9, False)):
+        logw = np.array([[-np.inf, -gap, 0.0, -np.inf]])
+        p = trajectory._reweighted(np.ones(4), logw)
+        assert bool(p[0, 1] == p[0, 2]) is stops
+        assert bool(_stop_rows(p, z, 0.5, 1e-3)[0]) is stops
+        assert bool(_may_stop(logw, z, 0.5)[0]) is stops
+
+
+def test_reweighted_row_subset_equals_block_subset():
+    """The posterior of some rows is bit for bit those rows of the block's,
+    as the stop check takes it on the prefiltered rows only."""
+    cfg = parse_config(load_preset("fig3"))
+    p0, model = initial_distribution(cfg), probe_model(cfg)
+    table = amplitude_table(model, p0.z_values)
+    rng = np.random.default_rng(61)
+    m = np.cumsum(rng.poisson(3.0, size=128))
+    t = np.cumsum(rng.uniform(0.0, 2.0, size=128))
+    log_factor = trajectory._log_factor(table, model.kappa, m, t)
+    block = trajectory._reweighted(p0.probabilities, log_factor)
+    for rows in (np.arange(128), np.array([0]), np.array([127]),
+                 np.sort(rng.choice(128, size=17, replace=False)),
+                 np.array([5, 6, 7, 100])):
+        sub = trajectory._reweighted(p0.probabilities, log_factor[rows])
+        assert sub.tobytes() == block[rows].tobytes()
 
 
 # the minimum scenario's z (the odd-even difference) runs in steps of 2
@@ -750,6 +835,118 @@ def test_run_trajectory_snapshot_strides_stop_with_the_run():
     assert set(rec.snapshot_strides) == set(rec.snapshots) == {0.5}
     k = rec.snapshot_strides[0.5]
     assert rec.samples[k].tau == pytest.approx(0.5)
+
+
+def _eager_record(p0, model, rec, cfg):
+    """Samples and snapshots as computed eagerly before they became lazy:
+    every count redrawn from the seed, the posteriors of whole 128-stride
+    blocks of the real record, sliced at the stop."""
+    rng = np.random.default_rng(rec.seed)
+    table = amplitude_table(model, p0.z_values)
+    c2 = abs(table.c_constant) ** 2
+    taus, snap_strides = trajectory._recording_grid(
+        cfg.max_tau, cfg.sample_interval_tau, tuple(cfg.snapshots))
+    t = taus * (1.0 / (2.0 * c2 * model.kappa))
+    p, z, lam = p0.probabilities, p0.z_values.astype(float), table.intensity
+    rates = 2.0 * model.kappa * lam
+    m = np.concatenate(([0], np.cumsum(rng.poisson(
+        rates[rng.choice(len(p), p=p)] * np.diff(t)))))
+    moments = np.array([z, z * z, lam, lam * lam]).T
+    dark = lam == 0
+    log_lam = np.log(lam, out=np.zeros(len(lam)), where=~dark)
+    last, blocks = len(rec.m) - 1, []
+    for start in range(0, last + 1, 128):
+        block = slice(start, start + 128)
+        log_factor = np.outer(m[block], log_lam) - np.outer(t[block], rates)
+        log_factor[np.ix_(m[block] > 0, dark)] = -np.inf
+        blocks.append(trajectory._reweighted(p, log_factor) @ moments)
+    mean_z, mean_z2, mean_lam, mean_lam2 = np.concatenate(blocks)[:last + 1].T
+    q = np.divide(mean_lam2 - mean_lam**2, mean_lam * c2,
+                  out=np.zeros(last + 1), where=mean_lam > 0)
+    columns = (t, 2.0 * c2 * model.kappa * t, m, mean_z,
+               np.sqrt(np.maximum(mean_z2 - mean_z**2, 0.0)), mean_lam / c2, q)
+    samples = list(map(trajectory.Sample,
+                       *(c[:last + 1].tolist() for c in columns)))
+    snapshots = {s: closed_form_distribution(p0, table, model.kappa,
+                                             int(m[k]), t[k])
+                 for s, k in snap_strides if k <= last}
+    return samples, snapshots
+
+
+def test_lazy_samples_and_snapshots_equal_eager_reference():
+    """Read in either order, a record's samples and snapshots are bit for
+    bit those computed eagerly from the full count record; a run stopped
+    early reads as the prefix of the same seed's unstopped run."""
+    cases = [parse_config(load_preset(name))
+             for name in ("fig2", "fig3", "fig4", "fig5")]
+    cases += [parse_config(_SCENARIO_CONFIG.format(
+        scenario=scenario, n_illuminated=n_illuminated, stop_fwhm=stop_fwhm))
+        for scenario, n_illuminated, stop_fwhm in (("maximum", 50, 0.3),
+                                                   ("maximum", 50, 0.05),
+                                                   ("maximum", 50, 0.0),
+                                                   ("minimum", 100, 0.4))]
+    n_records, stops = 0, []
+    for cfg in cases:
+        p0, model = initial_distribution(cfg), probe_model(cfg)
+        for i in range(3):
+            kwargs = dict(seed=[3, i], max_tau=cfg.max_tau,
+                          sample_interval_tau=cfg.sample_interval_tau,
+                          snapshot_taus=cfg.snapshots)
+            try:
+                rec = run_trajectory(p0, model, stop_fwhm=cfg.stop_fwhm,
+                                     **kwargs)
+            except ClassificationError:
+                continue
+            first = rec.snapshots if i == 1 else rec.samples
+            samples, snapshots = _eager_record(p0, model, rec, cfg)
+            assert repr(rec.samples) == repr(samples)
+            assert list(rec.snapshots) == list(snapshots)
+            for tau, dist in snapshots.items():
+                assert rec.snapshots[tau].probabilities.tobytes() == \
+                    dist.probabilities.tobytes()
+            assert rec.samples[-1].m == rec.final_state.m == rec.m[-1]
+            assert first is (rec.snapshots if i == 1 else rec.samples)
+            full = run_trajectory(p0, model, stop_fwhm=0.0, **kwargs)
+            assert repr(rec.samples) == repr(full.samples[:len(rec.m)])
+            n_records += 1
+            stops.append((len(rec.m) - 1, len(rec.t) - 1))
+    assert n_records >= 21
+    # stops in the first block, inside a later one and at the grid's end
+    assert any(k < 128 for k, _ in stops)
+    assert any(128 < k < end for k, end in stops)
+    assert any(k == end for k, end in stops)
+    # cut anywhere, also where a block keeps one row (a matrix-vector
+    # product, whose bits differ), the last full run reads as its prefix
+    for k in (1, 127, 128, 129, 256, 300):
+        cut = dataclasses.replace(full, m=full.m[:k + 1])
+        assert repr(cut.samples) == repr(full.samples[:k + 1])
+
+
+def test_updates_build_distributions_without_validation(monkeypatch):
+    """Posteriors from `_reweighted` are not re-checked; a distribution a
+    caller builds still is."""
+    p0 = superfluid_atom_number(SPEC)
+    model = trans_model(z_p=50.0)
+    st = make_state(p0, model)
+
+    def refuse(self):
+        raise AssertionError("validated a posterior")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ZDistribution, "__post_init__", refuse)
+        st = no_count_step(jump(jump(st)), 0.5)
+        dists = [st.dist, exact_distribution(p0, model, (0.1, 0.2), 0.5),
+                 closed_form_distribution(p0, st.amplitudes, model.kappa,
+                                          st.m, st.t)]
+    for d in dists:
+        assert d.z_values is p0.z_values and d.meaning is p0.meaning
+        assert d.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(dists[0].probabilities, dists[2].probabilities,
+                               rtol=1e-12)
+    for bad in (np.full(101, 1.0), np.full(101, np.nan),
+                np.concatenate(([-0.5, 1.5], np.zeros(99)))):
+        with pytest.raises(ValueError):
+            ZDistribution(p0.z_values, bad, p0.meaning)
 
 
 def test_run_trajectory_validation():

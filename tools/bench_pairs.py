@@ -1,0 +1,151 @@
+"""Benchmark a change against a base revision in alternating pairs.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --workload presets --seed 0 --pairs 10 \
+        --seconds 30 --out BENCH_<n>.json
+
+The base revision (default HEAD) is extracted with `git archive` into a
+temporary directory.  Each pair runs `perfbench/run.py --trace 0` once
+there and once in the working tree, the side that goes first alternating
+from pair to pair, so drift of the machine falls on both sides alike.
+With --trace-seconds BASE CHANGE, each side then gets one traced run of
+that length for the per-layer table.  Per-layer counts compare only at
+equal pass counts, so pick the two lengths to give equal passes (the
+faster side needs the shorter run); --pairs 0 runs the traced pair alone.
+
+The output file holds the environment, the seeds, every pair's end-to-end
+metrics, failures and output checks, and per metric the medians and
+quartiles of each side and the number of pairs the change wins.  Runs on
+another workload or seed are merged into the same file under their own
+key, "<workload>/seed<seed>".
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def extract(rev: str, dest: Path):
+    archive = dest / "base.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                       stdout=fh)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest / "base", filter="data")
+    archive.unlink()
+
+
+def run_bench(tree: Path, args, trace: int, seconds: float) -> dict:
+    """One perfbench run in `tree`: its result line and its results file."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+            "--seed", str(args.seed), "--seconds", str(seconds),
+            "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"benchmark failed in {tree}:\n{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    path = (tree / "perfbench" / "out" / "results"
+            / f"{args.workload}-seed{args.seed}-trace{trace}.json")
+    with open(path) as fh:
+        saved = json.load(fh)
+    result["passes"] = saved["passes"]
+    return result, saved["environment"]
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+    summary = {}
+    for name, direction in better.items():
+        base = [p["base"]["metrics"][name]["value"] for p in pairs]
+        change = [p["change"]["metrics"][name]["value"] for p in pairs]
+        sign = 1.0 if direction == "higher" else -1.0
+        summary[name] = {
+            "better": direction, "base": spread(base),
+            "change": spread(change),
+            "median_ratio": statistics.median(change) / statistics.median(base),
+            "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            "pairs": len(pairs)}
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", required=True,
+                        choices=("presets", "max-collapse", "oracle"))
+    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace-seconds", type=float, nargs=2,
+                        metavar=("BASE", "CHANGE"))
+    parser.add_argument("--base", default="HEAD", help="git revision")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs == 1 or args.pairs < 0 or not (args.pairs or
+                                                 args.trace_seconds):
+        parser.error("--pairs must be 0 (with --trace-seconds) or >= 2")
+
+    with open(ROOT / "BENCHMARK.json") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    pairs, traced = [], {}
+    with tempfile.TemporaryDirectory() as tmp:
+        extract(args.base, Path(tmp))
+        trees = {"base": Path(tmp) / "base", "change": ROOT}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side], env = run_bench(trees[side], args, 0, args.seconds)
+            pairs.append(pair)
+            print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
+                f"{name} {pair['base']['metrics'][name]['value']:.4g} -> "
+                f"{pair['change']['metrics'][name]['value']:.4g}"
+                for name in better), flush=True)
+        for side, seconds in zip(("base", "change"),
+                                 args.trace_seconds or ()):
+            traced[side], env = run_bench(trees[side], args, 1, seconds)
+            print(f"traced {side}: {traced[side]['passes']} passes",
+                  flush=True)
+
+    entry = {"workload": args.workload, "seed": args.seed, "environment": env,
+             "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
+             "change": {"commit": git("rev-parse", "HEAD"),
+                        "uncommitted_changes": bool(git("status",
+                                                        "--porcelain"))}}
+    if pairs:
+        entry.update(seconds=args.seconds, summary=summarise(pairs, better),
+                     quartiles="statistics.quantiles(n=4), exclusive method",
+                     pairs=pairs)
+    if traced:
+        entry["traced"] = {"seconds": dict(zip(traced, args.trace_seconds)),
+                           **traced}
+    runs = json.loads(args.out.read_text()) if args.out.exists() else {}
+    runs.setdefault(f"{args.workload}/seed{args.seed}", {}).update(entry)
+    args.out.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
+    for name, s in entry.get("summary", {}).items():
+        print(f"{name:12s} median {s['base']['median']:.4g} -> "
+              f"{s['change']['median']:.4g} ({s['median_ratio']:.3f}x), "
+              f"change better in {s['wins']}/{s['pairs']} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
