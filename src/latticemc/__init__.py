@@ -9,8 +9,7 @@ photon loss.
 """
 
 from .geometry import (LatticeSpec, ModeFunction, Scenario, ScenarioGeometry,
-                       ZMeaning, coupling_coefficient, mode_value,
-                       scenario_geometry)
+                       coupling_coefficient, mode_value, scenario_geometry)
 from .optics import (AmplitudeTable, ProbeModel, amplitude_table, cat_phase,
                      prefactor_exponent, steady_amplitude, transient_amplitude)
 from .oracle import (JointState, apply_jump, compare_with_exact,

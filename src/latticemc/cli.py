@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .oracle import compare_with_exact
 from .states import (ZDistribution, load_distribution, mott_distribution,
                      superfluid_atom_number, superfluid_difference)
 from .trajectory import (ClassificationError, NumericalAbort, RunRecord,
-                         run_trajectory)
+                         Sample, run_trajectory)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,32 +147,30 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    try:
-        spec = lattice_spec(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.kappa <= 0:
-        raise ConfigError("kappa must be > 0")
-    if cfg.drive_scale <= 0:
-        raise ConfigError("drive_scale must be > 0")
-    if cfg.max_tau <= 0:
-        raise ConfigError("max_tau must be > 0")
-    if cfg.scenario is Scenario.MINIMUM and spec.n_illuminated != spec.n_sites:
-        raise ConfigError("diffraction minimum requires n_illuminated = n_sites")
     if cfg.scenario is Scenario.TRANSMISSION:
         missing = [k for k in ("kappa_over_u11", "z_p")
                    if getattr(cfg, k) is None]
         if missing:
             raise ConfigError("transmission scenario requires keys: "
                               + ", ".join(missing))
-        if cfg.kappa_over_u11 <= 0:
-            raise ConfigError("kappa_over_u11 must be > 0")
+    for key in ("kappa", "drive_scale", "max_tau", "sample_interval_tau",
+                "kappa_over_u11"):
+        value = getattr(cfg, key)
+        if value is not None and not value > 0:
+            raise ConfigError(f"{key} must be > 0")
+    for key, least in (("seed", 0), ("n_traj", 1), ("delta_z_points", 1)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{key} must be >= {least}")
+    if min(cfg.loss_counts, default=0) < 0:
+        raise ConfigError("loss_counts must be >= 0")
     if cfg.initial_state not in ("superfluid", "mott", "file"):
         raise ConfigError("initial_state must be superfluid, mott or file")
     if cfg.initial_state == "file" and not cfg.initial_state_file:
         raise ConfigError("initial_state = file requires initial_state_file")
-    if cfg.n_traj < 1:
-        raise ConfigError("n_traj must be >= 1")
+    try:  # the lattice, the scenario's geometry and the initial state
+        initial_distribution(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def lattice_spec(cfg: RunConfig) -> LatticeSpec:
@@ -195,12 +193,12 @@ def initial_distribution(cfg: RunConfig) -> ZDistribution:
     spec = lattice_spec(cfg)
     geom = scenario_geometry(cfg.scenario, spec)
     if cfg.initial_state == "file":
-        dist = load_distribution(cfg.initial_state_file, geom.z_meaning)
+        dist = load_distribution(cfg.initial_state_file)
         if tuple(dist.z_values) != tuple(geom.z_grid):
             raise ConfigError("loaded z grid does not match the scenario grid")
         return dist
     if cfg.initial_state == "mott":
-        return mott_distribution(spec, geom.z_grid, geom.z_meaning)
+        return mott_distribution(spec, cfg.scenario)
     if cfg.scenario is Scenario.MINIMUM:
         return superfluid_difference(spec)
     return superfluid_atom_number(spec)
@@ -254,10 +252,8 @@ def _write_columns(path: Path, header: list[str], columns):
 
 def write_record(record: RunRecord, out_dir: Path, stem: str = "trajectory"):
     out_dir.mkdir(parents=True, exist_ok=True)
-    fields = ["t", "tau", "m", "mean_z", "width",
-              "cond_photons_reduced", "mandel_q_reduced"]
-    _write_columns(out_dir / f"{stem}.csv", fields,
-                   [[getattr(s, f) for s in record.samples] for f in fields])
+    _write_columns(out_dir / f"{stem}.csv", list(Sample._fields),
+                   list(zip(*record.samples)))
     outcome = record.outcome
     payload = {
         "kind": outcome.kind,
@@ -432,13 +428,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
+    """The config with `--snapshots` applied, validated with the `--seed`
+    and `--n-traj` the command gets apart: outputs echo the file's config."""
     if args.preset:
         text = load_preset(args.preset)
     else:
         text = args.config.read_text()
     cfg = parse_config(text)
     if getattr(args, "snapshots", None):
-        cfg.snapshots = _parse_number_list(args.snapshots, float)
+        try:
+            cfg.snapshots = _parse_number_list(args.snapshots, float)
+        except ValueError as exc:
+            raise ConfigError(f"--snapshots: {exc}") from exc
+    flags = {k: v for k in ("seed", "n_traj")
+             if (v := getattr(args, k, None)) is not None}
+    if flags:
+        _validate(replace(cfg, **flags))
     return cfg
 
 

@@ -1,19 +1,25 @@
 """Lattice and light geometry.
 
 Probe and cavity mode functions evaluated on lattice sites, and the
-reduction of the weighted atom-number sums D_lm to a single scalar
-statistical variable z for each measurement scenario:
+weighted atom-number sums D_lm = sum_j u_l*(r_j) u_m(r_j) n_j over the
+illuminated sites.  Each measurement scenario fixes its pair of mode
+functions, and z is the D of the pair, D_10 = sum_j u_1* u_0 n_j:
 
-* diffraction maximum  -> z is the atom number at the K illuminated sites,
-* diffraction minimum  -> z is the atom-number difference between odd and
-  even sites (all sites illuminated),
-* transmission         -> z is again the atom number at K sites, entering
-  through the dispersive cavity shift.
+* diffraction maximum  -> u_1* u_0 = 1: z is the atom number at the K
+  illuminated sites,
+* diffraction minimum  -> u_1* u_0 = (-1)^(j+1), a standing cavity mode at
+  k_x = pi / d: z is the atom-number difference between odd and even sites
+  (all sites illuminated),
+* transmission         -> the cavity mode is its own probe, |u_1|^2 = 1: z
+  is again the atom number at K sites, entering through the dispersive
+  cavity shift.
+
+The oracle derives its couplings and the Mott state its z from these sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,11 +29,6 @@ class Scenario(Enum):
     MAXIMUM = "maximum"
     MINIMUM = "minimum"
     TRANSMISSION = "transmission"
-
-
-class ZMeaning(Enum):
-    ATOM_NUMBER_AT_K_SITES = "atom_number_at_k_sites"
-    ODD_EVEN_DIFFERENCE = "odd_even_difference"
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,6 @@ class LatticeSpec:
             return self.illuminated_sites
         return tuple(range(1, self.n_illuminated + 1))
 
-    @property
-    def n_odd_illuminated(self) -> int:
-        """Number of odd illuminated sites (Q for contiguous illumination)."""
-        return sum(1 for j in self.sites if j % 2 == 1)
-
 
 @dataclass(frozen=True)
 class ModeFunction:
@@ -96,9 +92,11 @@ class ModeFunction:
 
 @dataclass(frozen=True)
 class ScenarioGeometry:
-    scenario: Scenario
+    """z grid and the probe (u_0) and cavity (u_1) modes whose D_10 is z."""
+
     z_grid: tuple[int, ...]
-    z_meaning: ZMeaning
+    probe: ModeFunction
+    cavity: ModeFunction
 
 
 def mode_value(mode: ModeFunction, site_index: int, spec: LatticeSpec) -> complex:
@@ -116,45 +114,40 @@ def mode_value(mode: ModeFunction, site_index: int, spec: LatticeSpec) -> comple
 
 
 def coupling_coefficient(q, mode_l: ModeFunction, mode_m: ModeFunction,
-                         spec: LatticeSpec) -> complex:
-    """D^q_lm = sum over illuminated sites of u_l*(r_j) u_m(r_j) q_j."""
+                         spec: LatticeSpec) -> complex | np.ndarray:
+    """D^q_lm = sum over illuminated sites of u_l*(r_j) u_m(r_j) q_j.
+
+    q is one configuration or an array of them, one per row.
+    """
     q = np.asarray(q)
-    if len(q) != spec.n_sites:
-        raise ValueError(f"configuration length {len(q)} != n_sites {spec.n_sites}")
+    if q.shape[-1:] != (spec.n_sites,):
+        raise ValueError(f"configuration shape {q.shape} does not end in "
+                         f"n_sites = {spec.n_sites}")
     if np.any(q < 0):
         raise ValueError("occupations must be nonnegative")
-    total = 0j
-    for j in spec.sites:
-        ul = mode_value(mode_l, j, spec)
-        um = mode_value(mode_m, j, spec)
-        total += np.conj(ul) * um * q[j - 1]
-    return complex(total)
+    weights = [np.conj(mode_value(mode_l, j, spec)) * mode_value(mode_m, j, spec)
+               for j in spec.sites]
+    d = q[..., np.array(spec.sites) - 1] @ np.array(weights)
+    return complex(d) if d.ndim == 0 else d
 
 
 def scenario_geometry(scenario: Scenario, spec: LatticeSpec) -> ScenarioGeometry:
-    """z grid and meaning of z for the given scenario.
+    """z grid and mode functions of the given scenario.
 
     Maximum / transmission: z in {0, ..., N}.  Minimum (requires all sites
     illuminated): z in {-N, -N+2, ..., N}.
     """
     n = spec.n_atoms
+    flat = ModeFunction("traveling", 0.0)  # u = 1 at every site
     if scenario in (Scenario.MAXIMUM, Scenario.TRANSMISSION):
-        return ScenarioGeometry(scenario, tuple(range(n + 1)),
-                                ZMeaning.ATOM_NUMBER_AT_K_SITES)
+        # in transmission the mirror-driven cavity mode is its own probe
+        return ScenarioGeometry(tuple(range(n + 1)), flat, flat)
     if scenario is Scenario.MINIMUM:
         if spec.n_illuminated != spec.n_sites:
             raise ValueError("diffraction minimum requires K = M "
                              "(all sites illuminated)")
-        return ScenarioGeometry(scenario, tuple(range(-n, n + 1, 2)),
-                                ZMeaning.ODD_EVEN_DIFFERENCE)
+        # transverse probe, cavity standing wave along the lattice with
+        # cos(j pi + pi) = (-1)^(j+1) at site j
+        cavity = ModeFunction("standing", np.pi / spec.period, np.pi)
+        return ScenarioGeometry(tuple(range(-n, n + 1, 2)), flat, cavity)
     raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def configuration_z(q, scenario: Scenario, spec: LatticeSpec) -> int:
-    """The scalar statistical variable z of a classical configuration q."""
-    q = np.asarray(q)
-    if len(q) != spec.n_sites:
-        raise ValueError(f"configuration length {len(q)} != n_sites {spec.n_sites}")
-    if scenario in (Scenario.MAXIMUM, Scenario.TRANSMISSION):
-        return int(sum(q[j - 1] for j in spec.sites))
-    return int(sum((-1) ** (j + 1) * q[j - 1] for j in spec.sites))

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from .geometry import LatticeSpec, Scenario, configuration_z, scenario_geometry
+from .geometry import (LatticeSpec, Scenario, coupling_coefficient,
+                       scenario_geometry)
 from .optics import ProbeModel
 from .states import (ZDistribution, superfluid_atom_number,
                      superfluid_difference)
@@ -94,19 +96,30 @@ def mott_joint_state(spec: LatticeSpec, alpha0: complex = 0.0,
     return JointState(tuple(cfgs), n_max, np.outer(c, _coherent_column(alpha0, n_max)))
 
 
+@lru_cache(maxsize=32)
+def _mode_sums(configs: tuple, scenario: Scenario, spec: LatticeSpec
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(D_10, D_11) per configuration from the scenario's mode functions.
+
+    D_10 is the configuration's z; read-only, computed once per lattice.
+    """
+    geom = scenario_geometry(scenario, spec)
+    q = np.array(configs)
+    d10 = coupling_coefficient(q, geom.cavity, geom.probe, spec)
+    d11 = coupling_coefficient(q, geom.cavity, geom.cavity, spec).real
+    d10.flags.writeable = d11.flags.writeable = False
+    return d10, d11
+
+
 def _config_couplings(state: JointState, model: ProbeModel, spec: LatticeSpec
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(dispersive detuning delta_q, probe coupling g_q) per configuration."""
-    d11 = np.array([configuration_z(q, Scenario.TRANSMISSION, spec)
-                    for q in state.configs], dtype=float)
-    if model.scenario is Scenario.TRANSMISSION:
-        d10 = np.zeros(len(state.configs))
-    else:
-        d10 = np.array([configuration_z(q, model.scenario, spec)
-                        for q in state.configs], dtype=float)
-    delta = model.u11 * d11 - model.delta_p
-    g = model.u10 * model.a0 * d10
-    return delta, g
+    """(dispersive detuning delta_q, probe coupling g_q) per configuration.
+
+    The shift u11 vanishes for transverse probing and the probe a0 in
+    transmission, so each scenario keeps only its own term.
+    """
+    d10, d11 = _mode_sums(state.configs, model.scenario, spec)
+    return model.u11 * d11 - model.delta_p, model.u10 * model.a0 * d10
 
 
 def _derivative(amp: np.ndarray, delta: np.ndarray, g: np.ndarray,
@@ -174,12 +187,10 @@ def z_marginal(state: JointState, scenario: Scenario,
     total = per_config.sum()
     if total <= 0:
         raise ValueError("zero-norm state has no marginal")
-    p = np.zeros(len(grid))
-    for q, w in zip(state.configs, per_config):
-        z = configuration_z(q, scenario, spec)
-        idx = np.searchsorted(grid, z)
-        p[idx] += w
-    return ZDistribution(grid, p / total, geom.z_meaning)
+    z = np.rint(_mode_sums(state.configs, scenario, spec)[0].real)
+    p = np.bincount(np.searchsorted(grid, z), weights=per_config,
+                    minlength=len(grid))
+    return ZDistribution(grid, p / total)
 
 
 def run_script(state: JointState, model: ProbeModel, spec: LatticeSpec,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom
 
-from .geometry import LatticeSpec, ZMeaning
+from .geometry import (LatticeSpec, Scenario, coupling_coefficient,
+                       scenario_geometry)
 
 _NORM_TOL = 1e-12
 
@@ -24,7 +25,6 @@ class ZDistribution:
 
     z_values: np.ndarray
     probabilities: np.ndarray
-    meaning: ZMeaning
 
     def __post_init__(self):
         z = np.asarray(self.z_values, dtype=int)
@@ -75,7 +75,7 @@ def superfluid_atom_number(spec: LatticeSpec) -> ZDistribution:
     n, ratio = spec.n_atoms, spec.n_illuminated / spec.n_sites
     z = np.arange(n + 1)
     p = np.exp(binom.logpmf(z, n, ratio))
-    return ZDistribution(z, _normalized(p), ZMeaning.ATOM_NUMBER_AT_K_SITES)
+    return ZDistribution(z, _normalized(p))
 
 
 def superfluid_difference(spec: LatticeSpec) -> ZDistribution:
@@ -92,49 +92,36 @@ def superfluid_difference(spec: LatticeSpec) -> ZDistribution:
     n = spec.n_atoms
     z_tilde = np.arange(n + 1)
     p = np.exp(binom.logpmf(z_tilde, n, 0.5))
-    return ZDistribution(2 * z_tilde - n, _normalized(p),
-                         ZMeaning.ODD_EVEN_DIFFERENCE)
+    return ZDistribution(2 * z_tilde - n, _normalized(p))
 
 
-def gaussian_approximation(mean: float, sigma: float, z_grid,
-                           meaning: ZMeaning = ZMeaning.ATOM_NUMBER_AT_K_SITES
-                           ) -> ZDistribution:
+def gaussian_approximation(mean: float, sigma: float, z_grid) -> ZDistribution:
     """Discrete Gaussian weights renormalized on the given z grid."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     z = np.asarray(z_grid, dtype=int)
     logw = -0.5 * ((z - mean) / sigma) ** 2
     w = np.exp(logw - logw.max())
-    return ZDistribution(z, _normalized(w), meaning)
+    return ZDistribution(z, _normalized(w))
 
 
-def mott_distribution(spec: LatticeSpec, z_grid,
-                      meaning: ZMeaning = ZMeaning.ATOM_NUMBER_AT_K_SITES
-                      ) -> ZDistribution:
+def mott_distribution(spec: LatticeSpec, scenario: Scenario) -> ZDistribution:
     """Point-mass distribution for the unit-filling Mott insulator.
 
-    z = K for the atom-number variable; z = 0 for the odd-even difference
-    (even M).
+    The mass sits at the scenario's z of one atom per site, the D_10 of
+    its mode functions: K for the atom number, 0 or 1 for the odd-even
+    difference.
     """
     if spec.n_atoms != spec.n_sites:
         raise ValueError("Mott distribution requires unit filling N = M")
-    if meaning is ZMeaning.ATOM_NUMBER_AT_K_SITES:
-        target = spec.n_illuminated
-    else:
-        if spec.n_sites % 2 != 0:
-            raise ValueError("odd-even difference requires even M")
-        target = 2 * spec.n_odd_illuminated - spec.n_atoms
-    z = np.asarray(z_grid, dtype=int)
-    p = np.zeros(len(z))
-    hits = np.nonzero(z == target)[0]
-    if len(hits) != 1:
-        raise ValueError(f"z grid does not contain the Mott value {target}")
-    p[hits[0]] = 1.0
-    return ZDistribution(z, p, meaning)
+    geom = scenario_geometry(scenario, spec)
+    d = coupling_coefficient(np.ones(spec.n_sites, dtype=int), geom.cavity,
+                             geom.probe, spec)
+    z = np.asarray(geom.z_grid)
+    return ZDistribution(z, (z == round(d.real)).astype(float))
 
 
-def load_distribution(path, meaning: ZMeaning = ZMeaning.ATOM_NUMBER_AT_K_SITES
-                      ) -> ZDistribution:
+def load_distribution(path) -> ZDistribution:
     """Load a two-column (z, probability) text file.
 
     The distribution is renormalized on load; deviations of the column sum
@@ -152,4 +139,4 @@ def load_distribution(path, meaning: ZMeaning = ZMeaning.ATOM_NUMBER_AT_K_SITES
         warnings.warn(f"loaded probabilities sum to {total:.8g}; renormalizing",
                       stacklevel=2)
     order = np.argsort(z)
-    return ZDistribution(z[order].astype(int), _normalized(p[order]), meaning)
+    return ZDistribution(z[order].astype(int), _normalized(p[order]))

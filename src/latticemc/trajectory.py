@@ -284,10 +284,8 @@ def predicted_widths(scenario: Scenario, m: int, tau: float,
 def closed_form_distribution(p0: ZDistribution, amplitudes: AmplitudeTable,
                              kappa: float, m: int, t: float) -> ZDistribution:
     """Direct steady-regime distribution: |alpha_z|^(2m) e^(-2|a|^2 kt) p0 / F^2."""
-    log_factor = -2.0 * kappa * amplitudes.intensity * t
-    if m > 0:
-        log_factor = log_factor + m * amplitudes.log_intensity
-    return p0.with_probabilities(_reweighted(p0.probabilities, log_factor))
+    log_factor = _log_factor(amplitudes, kappa, np.array([m]), np.array([t]))
+    return p0.with_probabilities(_reweighted(p0.probabilities, log_factor[0]))
 
 
 def exact_distribution(p0: ZDistribution, model: ProbeModel,

@@ -297,6 +297,37 @@ def test_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
+BAD_INPUTS = {
+    "interval-zero": (MAXIMUM.replace("sample_interval_tau = 0.5",
+                                      "sample_interval_tau = 0"), []),
+    "interval-negative": (MAXIMUM.replace("sample_interval_tau = 0.5",
+                                          "sample_interval_tau = -1"), []),
+    "seed-negative": (MAXIMUM.replace("seed = 1", "seed = -1"), []),
+    "seed-flag-negative": (MAXIMUM, ["--seed", "-1"]),
+    "n-traj-flag-zero": (MAXIMUM, ["--n-traj", "0"]),
+    "snapshots-flag-text": (MAXIMUM, ["--snapshots", "abc"]),
+    "state-file-malformed": (MAXIMUM + "initial_state = file\n"
+                             "initial_state_file = {tmp}/p0.txt\n", []),
+    "loss-counts-negative": (MAXIMUM + "loss_counts = 0,-1\n", []),
+    "delta-z-points-negative": (MAXIMUM + "delta_z_points = -5\n", []),
+    "mott-not-unit-filling": (MAXIMUM.replace("n_atoms = 50", "n_atoms = 40")
+                              + "initial_state = mott\n", []),
+}
+
+
+@pytest.mark.parametrize("text,flags", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_is_a_config_error(tmp_path, capsys, text, flags):
+    """Every bad config value or flag exits 2 with a one-line message."""
+    (tmp_path / "p0.txt").write_text("0 0.5\n1 abc\n")
+    cfg_path = write(tmp_path, text.replace("{tmp}", str(tmp_path)))
+    out = tmp_path / "out"
+    rc = main(["ensemble", "--config", str(cfg_path), "--out", str(out),
+               *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 def test_initial_state_file_roundtrip(tmp_path):
     from latticemc.geometry import LatticeSpec
     from latticemc.states import superfluid_atom_number

@@ -3,11 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from latticemc.geometry import (LatticeSpec, ModeFunction, Scenario, ZMeaning,
-                                configuration_z, coupling_coefficient,
-                                mode_value, scenario_geometry)
+from latticemc.geometry import (LatticeSpec, ModeFunction, Scenario,
+                                coupling_coefficient, mode_value,
+                                scenario_geometry)
+from latticemc.oracle import compositions
 
 SPEC4 = LatticeSpec(n_atoms=6, n_sites=4, n_illuminated=4)
+
+
+def configuration_z(q, scenario, spec):
+    """Reference z of a configuration, the paper's reduced sums: the atom
+    number at the illuminated sites, or their odd-even difference at the
+    diffraction minimum."""
+    q = np.asarray(q)
+    if scenario is Scenario.MINIMUM:
+        return int(sum((-1) ** (j + 1) * q[j - 1] for j in spec.sites))
+    return int(sum(q[j - 1] for j in spec.sites))
+
+
+def scenario_z(q, scenario, spec):
+    """z as the scenario's mode functions define it, D_10 = sum u_1* u_0 q_j."""
+    geom = scenario_geometry(scenario, spec)
+    return coupling_coefficient(q, geom.cavity, geom.probe, spec)
 
 
 def max_modes():
@@ -116,14 +133,17 @@ def test_scenario_geometry_maximum():
     spec = LatticeSpec(100, 100, 50)
     geom = scenario_geometry(Scenario.MAXIMUM, spec)
     assert geom.z_grid == tuple(range(101))
-    assert geom.z_meaning is ZMeaning.ATOM_NUMBER_AT_K_SITES
+    # u_1* u_0 = 1 on the illuminated sites j = 1..50, 0 elsewhere
+    per_site = scenario_z(np.eye(100, dtype=int), Scenario.MAXIMUM, spec)
+    np.testing.assert_array_equal(per_site, np.arange(100) < 50)
 
 
 def test_scenario_geometry_minimum():
     spec = LatticeSpec(100, 100, 100)
     geom = scenario_geometry(Scenario.MINIMUM, spec)
     assert geom.z_grid == tuple(range(-100, 101, 2))
-    assert geom.z_meaning is ZMeaning.ODD_EVEN_DIFFERENCE
+    per_site = scenario_z(np.eye(100, dtype=int), Scenario.MINIMUM, spec)
+    np.testing.assert_array_equal(per_site, (-1.0) ** np.arange(100))
 
 
 def test_scenario_geometry_transmission_small():
@@ -137,15 +157,48 @@ def test_scenario_geometry_minimum_requires_full_illumination():
 
 
 def test_configuration_z():
-    spec = LatticeSpec(6, 4, 4)
-    assert configuration_z([3, 1, 2, 0], Scenario.MAXIMUM, spec) == 6
-    assert configuration_z([3, 1, 2, 0], Scenario.MINIMUM, spec) == 4
-    spec2 = LatticeSpec(6, 4, 2)
-    assert configuration_z([3, 1, 2, 0], Scenario.TRANSMISSION, spec2) == 4
+    spec, spec2 = LatticeSpec(6, 4, 4), LatticeSpec(6, 4, 2)
+    for scenario, lattice, want in ((Scenario.MAXIMUM, spec, 6),
+                                    (Scenario.MINIMUM, spec, 4),
+                                    (Scenario.TRANSMISSION, spec2, 4)):
+        assert configuration_z([3, 1, 2, 0], scenario, lattice) == want
+        assert scenario_z([3, 1, 2, 0], scenario, lattice) == want
 
 
 def test_site_mask():
     spec = LatticeSpec(4, 4, 2, illuminated_sites=(1, 3))
     assert configuration_z([1, 1, 1, 1], Scenario.MAXIMUM, spec) == 2
+    assert scenario_z([1, 0, 2, 0], Scenario.MAXIMUM, spec) == 3
+    assert scenario_z([0, 2, 0, 1], Scenario.TRANSMISSION, spec) == 0
     with pytest.raises(ValueError):
         LatticeSpec(4, 4, 2, illuminated_sites=(1, 9))
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec(3, 2, 1), LatticeSpec(4, 4, 4),
+    LatticeSpec(5, 4, 4, period=0.5),
+    LatticeSpec(4, 4, 2, illuminated_sites=(1, 3)),
+    LatticeSpec(3, 3, 2, illuminated_sites=(3, 1))],
+    ids=["N3M2K1", "N4M4K4", "N5M4K4-period0.5", "mask13-M4", "mask31-M3"])
+def test_scenario_d_equals_reduced_z(spec):
+    """Each scenario's D_10 is the reference z on every configuration."""
+    configs = np.array(compositions(spec.n_atoms, spec.n_sites))
+    scenarios = [Scenario.MAXIMUM, Scenario.TRANSMISSION]
+    if spec.n_illuminated == spec.n_sites:
+        scenarios.append(Scenario.MINIMUM)
+    for scenario in scenarios:
+        want = [configuration_z(q, scenario, spec) for q in configs]
+        np.testing.assert_array_equal(scenario_z(configs, scenario, spec),
+                                      want)
+        assert [scenario_z(q, scenario, spec) for q in configs] == want
+
+
+def test_coupling_rows_equal_single_configurations():
+    rng = np.random.default_rng(9)
+    spec = LatticeSpec(8, 5, 3, period=0.7, illuminated_sites=(5, 2, 4))
+    ml, mm = ModeFunction("traveling", 1.3, 0.2), ModeFunction("standing", 0.4)
+    q = rng.integers(0, 4, size=(20, 5))
+    rows = coupling_coefficient(q, ml, mm, spec)
+    assert rows.shape == (20,)
+    for qi, d in zip(q, rows):
+        assert coupling_coefficient(qi, ml, mm, spec) == pytest.approx(d)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import ProbeModel, transient_amplitude
@@ -7,7 +8,8 @@ from latticemc.oracle import (CutoffError, JointState, apply_jump,
                               compare_with_exact, compositions,
                               evolve_nonhermitian, mott_joint_state,
                               run_script, superfluid_joint_state, z_marginal)
-from latticemc.states import superfluid_atom_number
+from latticemc.states import ZDistribution, superfluid_atom_number
+from latticemc.trajectory import exact_distribution
 
 
 def coherent_amplitudes(alpha, n_max):
@@ -39,6 +41,9 @@ def test_mott_joint_state():
     joint = mott_joint_state(spec, n_max=2)
     marg = z_marginal(joint, Scenario.MAXIMUM, spec)
     assert marg.probabilities[2] == pytest.approx(1.0, abs=1e-12)
+    full = LatticeSpec(3, 3, 3)  # two odd sites, one even: z = 1
+    marg = z_marginal(mott_joint_state(full, n_max=2), Scenario.MINIMUM, full)
+    assert marg.probabilities.tolist() == [0.0, 0.0, 1.0, 0.0]
     with pytest.raises(ValueError):
         mott_joint_state(LatticeSpec(2, 3, 2))
 
@@ -141,6 +146,27 @@ def test_run_script_matches_reduced_engine():
 def test_oracle_minimum_scenario(spec):
     """Diffraction minimum: z is the odd-even difference, dark at z = 0."""
     assert max_deviation(spec, probe(Scenario.MINIMUM)) < 1e-6
+
+
+def test_oracle_minimum_odd_sites():
+    """On M = 3 sites z = 2 n_odd - N, n_odd ~ Binomial(N, 2/3): p0 is not
+    symmetric in z, so a sign slip in the minimum's D shows."""
+    spec = LatticeSpec(3, 3, 3)
+    model = probe(Scenario.MINIMUM, drive=0.3)
+    joint = run_script(superfluid_joint_state(spec, n_max=10), model, spec,
+                       (16.0, 18.5), 20.0)
+    p0 = ZDistribution(np.arange(-3, 4, 2), binom.pmf(np.arange(4), 3, 2 / 3))
+    got = z_marginal(joint, Scenario.MINIMUM, spec)
+    want = exact_distribution(p0, model, (16.0, 18.5), 20.0)
+    assert np.abs(got.probabilities - want.probabilities).max() < 1e-6
+
+
+@pytest.mark.parametrize("scenario", [Scenario.TRANSMISSION, Scenario.MAXIMUM],
+                         ids=lambda s: s.value)
+def test_oracle_site_mask(scenario):
+    """Sites 1 and 3 of 3 illuminated: a non-contiguous mask."""
+    spec = LatticeSpec(4, 3, 2, illuminated_sites=(1, 3))
+    assert max_deviation(spec, probe(scenario)) < 1e-6
 
 
 @pytest.mark.parametrize("scenario", [Scenario.TRANSMISSION, Scenario.MAXIMUM],

@@ -150,7 +150,7 @@ def test_cavity_photon_distribution_superfluid():
 
 
 def test_cavity_photon_distribution_mott_is_coherent():
-    p0 = mott_distribution(SPEC, np.arange(101))
+    p0 = mott_distribution(SPEC, Scenario.MAXIMUM)
     model = max_model()
     table = amplitude_table(model, p0.z_values)
     st = TrajectoryState(dist=p0, amplitudes=table, kappa=1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from latticemc.geometry import LatticeSpec, ZMeaning
+from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.states import (ZDistribution, gaussian_approximation,
                               load_distribution, mott_distribution,
                               superfluid_atom_number, superfluid_difference)
@@ -40,7 +40,6 @@ def test_superfluid_atom_number_matches_direct_binomial():
 
 def test_superfluid_difference_moments():
     d = superfluid_difference(LatticeSpec(100, 100, 100))
-    assert d.meaning is ZMeaning.ODD_EVEN_DIFFERENCE
     assert d.mean == pytest.approx(0.0, abs=1e-9)
     assert d.std == pytest.approx(10.0, abs=1e-9)
     assert d.z_values[0] == -100 and d.z_values[-1] == 100
@@ -94,33 +93,40 @@ def test_gaussian_validation():
 
 
 def test_mott_distribution_atom_number():
-    d = mott_distribution(LatticeSpec(100, 100, 50), np.arange(101))
+    d = mott_distribution(LatticeSpec(100, 100, 50), Scenario.MAXIMUM)
     assert d.probabilities[50] == 1.0
     assert d.probabilities.sum() == 1.0
 
 
 def test_mott_distribution_difference():
     spec = LatticeSpec(100, 100, 100)
-    d = mott_distribution(spec, np.arange(-100, 101, 2),
-                          ZMeaning.ODD_EVEN_DIFFERENCE)
+    d = mott_distribution(spec, Scenario.MINIMUM)
+    np.testing.assert_array_equal(d.z_values, np.arange(-100, 101, 2))
     assert d.probabilities[np.nonzero(d.z_values == 0)[0][0]] == 1.0
+    # two odd sites and one even: z = 1 on the grid -3, -1, 1, 3
+    odd = mott_distribution(LatticeSpec(3, 3, 3), Scenario.MINIMUM)
+    assert odd.probabilities.tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
+def test_mott_distribution_site_mask():
+    spec = LatticeSpec(4, 4, 2, illuminated_sites=(2, 4))
+    for scenario in (Scenario.MAXIMUM, Scenario.TRANSMISSION):
+        d = mott_distribution(spec, scenario)
+        assert d.probabilities.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
 
 
 def test_mott_distribution_validation():
     with pytest.raises(ValueError):
-        mott_distribution(LatticeSpec(50, 100, 50), np.arange(51))
+        mott_distribution(LatticeSpec(50, 100, 50), Scenario.MAXIMUM)
 
 
 def test_zdistribution_invariants():
     with pytest.raises(ValueError):
-        ZDistribution(np.array([0, 1]), np.array([0.6, 0.6]),
-                      ZMeaning.ATOM_NUMBER_AT_K_SITES)
+        ZDistribution(np.array([0, 1]), np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
-        ZDistribution(np.array([1, 0]), np.array([0.5, 0.5]),
-                      ZMeaning.ATOM_NUMBER_AT_K_SITES)
+        ZDistribution(np.array([1, 0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
-        ZDistribution(np.array([0, 1]), np.array([1.5, -0.5]),
-                      ZMeaning.ATOM_NUMBER_AT_K_SITES)
+        ZDistribution(np.array([0, 1]), np.array([1.5, -0.5]))
 
 
 def test_variance_identity_random():
@@ -129,7 +135,7 @@ def test_variance_identity_random():
         n = int(rng.integers(2, 30))
         z = np.sort(rng.choice(np.arange(-50, 50), size=n, replace=False))
         p = rng.dirichlet(np.ones(n))
-        d = ZDistribution(z, p, ZMeaning.ATOM_NUMBER_AT_K_SITES)
+        d = ZDistribution(z, p)
         direct = float(np.dot(p, (z - d.mean) ** 2))
         assert d.variance == pytest.approx(direct, abs=1e-9)
 

@@ -7,7 +7,7 @@ from scipy.stats import chi2_contingency, chisquare
 from latticemc import trajectory
 from latticemc.cli import (initial_distribution, load_preset, parse_config,
                            probe_model)
-from latticemc.geometry import LatticeSpec, Scenario, ZMeaning
+from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import (ProbeModel, amplitude_table,
                               prefactor_exponent_exact, transient_amplitude)
 from latticemc.photostats import photocount_distribution
@@ -47,8 +47,7 @@ def two_point_state(intensities, probs, kappa=1.0):
     z = np.arange(len(intensities))
     table = AmplitudeTable(z, np.sqrt(np.asarray(intensities, dtype=float)),
                            c_constant=1.0 + 0j)
-    dist = ZDistribution(z, np.asarray(probs, dtype=float),
-                         ZMeaning.ATOM_NUMBER_AT_K_SITES)
+    dist = ZDistribution(z, np.asarray(probs, dtype=float))
     return TrajectoryState(dist=dist, amplitudes=table, kappa=kappa)
 
 
@@ -173,7 +172,7 @@ def test_detect_peaks_and_fwhm():
     z = np.arange(7)
     p = np.array([0.0, 0.1, 0.3, 0.1, 0.05, 0.3, 0.15])
     p = p / p.sum()
-    d = ZDistribution(z, p, ZMeaning.ATOM_NUMBER_AT_K_SITES)
+    d = ZDistribution(z, p)
     assert detect_peaks(d) == [2, 5]
     d2 = gaussian_approximation(50.0, 4.0, np.arange(101))
     assert detect_peaks(d2) == [50]
@@ -184,7 +183,7 @@ def test_detect_peaks_and_fwhm():
 
 def test_detect_peaks_plateau_counts_once():
     p = np.array([0.1, 0.3, 0.3, 0.1]) / 0.8
-    d = ZDistribution(np.arange(4), p, ZMeaning.ATOM_NUMBER_AT_K_SITES)
+    d = ZDistribution(np.arange(4), p)
     assert detect_peaks(d) == [1]
 
 
@@ -229,8 +228,7 @@ def _tied_distributions(n_cases, seed):
         levels = rng.integers(0, 4, size=n).astype(float)
         if levels.sum() == 0:
             levels[rng.integers(n)] = 1.0
-        yield ZDistribution(np.arange(n) - n // 2, levels / levels.sum(),
-                            ZMeaning.ATOM_NUMBER_AT_K_SITES)
+        yield ZDistribution(np.arange(n) - n // 2, levels / levels.sum())
 
 
 def test_detect_peaks_matches_reference_loop():
@@ -550,7 +548,7 @@ def test_may_stop_leaves_records_unchanged(monkeypatch):
 
 
 def test_peak_collapse_width_point_mass_vanishes():
-    d = mott_distribution(LatticeSpec(10, 10, 5), np.arange(11))
+    d = mott_distribution(LatticeSpec(10, 10, 5), Scenario.MAXIMUM)
     assert peak_collapse_width(d, 5) == 0.0
     d2 = gaussian_approximation(50.0, 4.0, np.arange(101))
     assert peak_collapse_width(d2, 50) == pytest.approx(
@@ -729,7 +727,7 @@ def test_classify_rejects_multi_peak_state():
     p = np.full(101, 1e-4)
     p[[20, 50, 80]] = 0.2  # three separated peaks
     p = p / p.sum()
-    dist = ZDistribution(z, p, ZMeaning.ATOM_NUMBER_AT_K_SITES)
+    dist = ZDistribution(z, p)
     table = amplitude_table(model, z)
     st = TrajectoryState(dist=dist, amplitudes=table, kappa=1.0, m=5, t=1.0)
     with pytest.raises(ClassificationError):
@@ -765,7 +763,7 @@ def test_run_trajectory_matches_closed_form():
 def test_run_trajectory_mott_counts_are_poissonian():
     """A point-mass p0 stays frozen and the counts are plain Poisson."""
     spec = LatticeSpec(100, 100, 50)
-    p0 = mott_distribution(spec, np.arange(101))
+    p0 = mott_distribution(spec, Scenario.MAXIMUM)
     model = max_model()
     tau = 2.0
     lam_tau = tau * 50**2  # mean counts: rate 2k|C|^2 z^2 over t = tau * z^2
@@ -939,14 +937,14 @@ def test_updates_build_distributions_without_validation(monkeypatch):
                  closed_form_distribution(p0, st.amplitudes, model.kappa,
                                           st.m, st.t)]
     for d in dists:
-        assert d.z_values is p0.z_values and d.meaning is p0.meaning
+        assert d.z_values is p0.z_values
         assert d.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(dists[0].probabilities, dists[2].probabilities,
                                rtol=1e-12)
     for bad in (np.full(101, 1.0), np.full(101, np.nan),
                 np.concatenate(([-0.5, 1.5], np.zeros(99)))):
         with pytest.raises(ValueError):
-            ZDistribution(p0.z_values, bad, p0.meaning)
+            ZDistribution(p0.z_values, bad)
 
 
 def test_run_trajectory_validation():
@@ -1065,7 +1063,7 @@ def test_latent_z_final_counts_follow_photocount_distribution():
 def test_run_trajectory_initial_state_never_stops_the_run():
     # a Mott point mass is collapsed from the start; the run still takes
     # its first stride, as the per-stride sampler did
-    p0 = mott_distribution(LatticeSpec(100, 100, 50), np.arange(101))
+    p0 = mott_distribution(LatticeSpec(100, 100, 50), Scenario.MAXIMUM)
     rec = run_trajectory(p0, max_model(), seed=3, max_tau=2.0, stop_fwhm=0.5)
     assert len(rec.samples) == 2
     assert rec.samples[1].m > 0
