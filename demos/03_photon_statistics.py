@@ -11,8 +11,8 @@ trajectories reproduces the mixture-of-Poissonians law exactly.
 import numpy as np
 
 from latticemc import (LatticeSpec, ProbeModel, Scenario, amplitude_table,
-                       photocount_distribution, run_trajectory,
-                       superfluid_atom_number)
+                       photocount_distribution, run_trajectories,
+                       run_trajectory, superfluid_atom_number)
 
 spec = LatticeSpec(n_atoms=100, n_sites=100, n_illuminated=50)
 p0 = superfluid_atom_number(spec)
@@ -29,9 +29,10 @@ print(f"  theory: <m> = {theory.mean:.3f}, Fano = {theory.fano:.3f}, "
       f"Mandel Q = {theory.mandel_q:.3f}")
 
 ms = np.array([
-    run_trajectory(p0, model, seed=[31, i], max_tau=tau, stop_fwhm=0.0,
-                   sample_interval_tau=tau / 10).final_state.m
-    for i in range(500)])
+    record.final_state.m
+    for record in run_trajectories(p0, model, ([31, i] for i in range(500)),
+                                   max_tau=tau, stop_fwhm=0.0,
+                                   sample_interval_tau=tau / 10)])
 print(f"  500 simulated trajectories: <m> = {ms.mean():.3f}, "
       f"Fano = {ms.var() / ms.mean():.3f}")
 print()

@@ -26,7 +26,8 @@ from .trajectory import (OutcomeReport, RunRecord, TrajectoryState,
                          classify_outcome, closed_form_distribution,
                          conditional_photon_number, exact_distribution,
                          jump, mandel_q, no_count_step,
-                         predicted_widths, run_trajectory, width)
+                         predicted_widths, run_trajectories,
+                         run_trajectory, width)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .oracle import compare_with_exact
 from .states import (ZDistribution, load_distribution, mott_distribution,
                      superfluid_atom_number, superfluid_difference)
 from .trajectory import (ClassificationError, NumericalAbort, RunRecord,
-                         Sample, run_trajectory)
+                         Sample, run_trajectories, run_trajectory)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,6 +161,8 @@ def _validate(cfg: RunConfig):
     for key, least in (("seed", 0), ("n_traj", 1), ("delta_z_points", 1)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be >= {least}")
+    if not all(0 <= s <= cfg.max_tau for s in cfg.snapshots):
+        raise ConfigError("snapshots must lie in [0, max_tau]")
     if min(cfg.loss_counts, default=0) < 0:
         raise ConfigError("loss_counts must be >= 0")
     if cfg.initial_state not in ("superfluid", "mott", "file"):
@@ -300,11 +302,11 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
     rows = []
     counts = {"singlet": 0, "doublet": 0}
     m_at_tau: dict[float, list[int]] = {s: [] for s in cfg.snapshots}
-    for i in range(n_traj):
-        record = run_trajectory(p0, model, seed=[seed, i], max_tau=cfg.max_tau,
-                                stop_fwhm=cfg.stop_fwhm,
-                                sample_interval_tau=cfg.sample_interval_tau,
-                                snapshot_taus=cfg.snapshots)
+    records = run_trajectories(
+        p0, model, ([seed, i] for i in range(n_traj)), max_tau=cfg.max_tau,
+        stop_fwhm=cfg.stop_fwhm, sample_interval_tau=cfg.sample_interval_tau,
+        snapshot_taus=cfg.snapshots)
+    for i, record in enumerate(records):
         o = record.outcome
         counts[o.kind] += 1
         rows.append((i, o.kind, o.z1, o.z2 if o.z2 is not None else "",
@@ -428,21 +430,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    """The config with `--snapshots` applied, validated with the `--seed`
-    and `--n-traj` the command gets apart: outputs echo the file's config."""
+    """The config with `--snapshots` applied, validated with it and with the
+    `--seed` and `--n-traj` the command gets apart: outputs echo the file's
+    config."""
     if args.preset:
         text = load_preset(args.preset)
     else:
         text = args.config.read_text()
     cfg = parse_config(text)
-    if getattr(args, "snapshots", None):
+    snapshots = getattr(args, "snapshots", None)
+    if snapshots:
         try:
-            cfg.snapshots = _parse_number_list(args.snapshots, float)
+            cfg.snapshots = _parse_number_list(snapshots, float)
         except ValueError as exc:
             raise ConfigError(f"--snapshots: {exc}") from exc
     flags = {k: v for k in ("seed", "n_traj")
              if (v := getattr(args, k, None)) is not None}
-    if flags:
+    if flags or snapshots:
         _validate(replace(cfg, **flags))
     return cfg
 

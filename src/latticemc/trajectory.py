@@ -9,8 +9,11 @@ stride's count at the rate 2 kappa |alpha_z*|^2: by Bayes' chain rule, the
 law of drawing each count from the current posterior's Poisson mixture
 (Wiseman & Milburn, Quantum Measurement and Control, 2010).  A run records
 its counts m at the grid times t; observables are computed from them when
-read.  An exact necessary condition on the log weights passes to the stop
-check only the few strides where it can fire.
+read.  An ensemble's members share one stop loop over blocks of strides:
+each block's log weights for every member still running come from one
+[1, m, t] product, and an exact necessary condition on them, which allows
+for the product's rounding, passes to the stop check only the few strides
+where it can fire.  A single run is the ensemble of one.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,6 +35,13 @@ from .states import ZDistribution
 PEAK_WEIGHT_THRESHOLD = 1e-3
 # strides per block of log weights; the observables' bits depend on it
 _BLOCK_STRIDES = 128
+# members whose records are held at once; rows per log-weight product and
+# per exact stop check, which holds several posteriors' worth of arrays
+_MEMBERS = 64
+_PRODUCT_ROWS = 512
+_EXACT_ROWS = 64
+# a finite stand-in for log 0 in the log-weight product
+_NO_WEIGHT = -1e300
 LN2 = float(np.log(2.0))
 
 
@@ -440,36 +451,144 @@ def _stop_rows(p: np.ndarray, z: np.ndarray, stop_fwhm: float,
             & (np.bincount(rows, weights=wide, minlength=n_rows) == 0))
 
 
-def _may_stop(logw: np.ndarray, z: np.ndarray, stop_fwhm: float) -> np.ndarray:
-    """Per row of log weights logw = log p0 + log_factor, summed as
-    `_reweighted` sums them: False where `_stop_rows` cannot hold on the
-    row's posterior p, an exact test that needs no normaliser.
+def _may_stop(logw: np.ndarray, z: np.ndarray, stop_fwhm: float,
+              threshold: float = PEAK_WEIGHT_THRESHOLD,
+              slack=0.0) -> np.ndarray:
+    """Per row of log weights logw = log p0 + log_factor: False where
+    `_stop_rows` at `threshold` cannot hold on the row's posterior p, an
+    exact test that needs no normaliser.
 
-    Take the first argmax k.  A row passes if a neighbour's log weight is
-    within 1e-9 of logw_k, as it might tie p_k after the exponential.  Else
-    p_k is the largest p and exceeds p_{k+-1} strictly, so if any peak
-    reaches the threshold, k is a peak whose basin holds k - 1 and k + 1:
-    the peak's share f of the basin weight is at most f_u = 1 / (1 + r), r
-    the ratios exp(logw_{k+-1} - logw_k) summed.  With mu the basin mean, d
-    the least grid spacing and a = |z_k - mu|, every other basin point is at
+    `slack` (per row, or one value) bounds how far each finite entry of a
+    row may lie from the log weight `_reweighted` sums; it is 0 when logw is
+    that sum.  An entry may stand in for -inf by any value far below the
+    row's largest.  Take the first argmax k.  With slack 0, p_k is the
+    largest p, so if any peak reaches the threshold, so does k.  With slack
+    s > 0, logw_k is within 2s of the largest exact log weight, so p_k >=
+    e^(-2s) max p >= e^(-2s) / n, above the threshold when
+    n threshold e^(2s) < 1; every row with s > 0 passes where that fails.
+    A row passes if a neighbour's log weight is within 1e-9 + 2s of logw_k,
+    as p_k might not exceed it after the exponential.  Else p_k exceeds
+    p_{k+-1} strictly, so k is a peak at the threshold, or none is, and its
+    basin holds k - 1 and k + 1: the peak's share f of the basin weight is
+    at most f_u = 1 / (1 + r), r the ratios p_{k+-1} / p_k summed, at least
+    exp(logw_{k+-1} - logw_k - 2s) summed.  With mu the basin mean, d the
+    least grid spacing and a = |z_k - mu|, every other basin point is at
     least d from z_k, hence d - a from mu: Var >= f a^2 + (1 - f)
     max(d - a, 0)^2 >= d^2 f (1 - f).  At most one grid point lies within d/2
     of mu and it holds at most the share f, so also
     Var >= d^2 (1 - f) / 4.  Over f <= f_u the larger bound is at least
-    d^2 min(3/16, f_u (1 - f_u)).  The row can stop only if that variance's
-    FWHM is below stop_fwhm, up to a relative margin of 1e-6, far above
-    the rounding of r and of `_stop_rows`' masked sums.
+    d^2 min(3/16, f_u (1 - f_u)), which does not grow with f_u, so the least
+    r gives a bound.  The row can stop only if that variance's FWHM is
+    below stop_fwhm, up to a relative margin of 1e-6, far above the
+    rounding of r and of `_stop_rows`' masked sums.
     """
     k, n = logw.argmax(axis=1), logw.shape[1]
     at = k + n * np.arange(len(logw))  # flat index of each row's argmax
     near = np.take(logw, [at - 1, at + 1], mode="clip")  # k - 1 and k + 1
     near[0, k == 0] = near[1, k == n - 1] = -np.inf  # off the grid
     gaps = logw.ravel()[at] - near  # +inf where p is 0, nan if all are
-    ratio = np.exp(-gaps).sum(axis=0)
+    ratio = np.exp(-(gaps + 2.0 * slack)).sum(axis=0)
     spacing = (z[1:] - z[:-1]).min() if n > 1 else 0.0
     var = spacing**2 * np.minimum(3.0 / 16.0, ratio / (1.0 + ratio) ** 2)
-    return (~(gaps >= 1e-9).all(axis=0)
+    unsure = (slack > 0) & (n * threshold * (1.0 + 1e-6)
+                            >= np.exp(-2.0 * slack))
+    return (~(gaps - 2.0 * slack >= 1e-9).all(axis=0) | unsure
             | (2.0 * np.sqrt(2.0 * LN2 * var) < stop_fwhm * (1.0 + 1e-6)))
+
+
+def _log_weight_operands(p: np.ndarray, table: AmplitudeTable,
+                         kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """[log p0; log lam; -2 kappa lam], whose product with [1, m, t] rows
+    gives each row's log weights log p0 + log_factor, and the coefficients
+    whose product with the same rows bounds the rows' rounding.
+
+    The product and the sums `_reweighted` takes each round within
+    3 eps/2 (|log p0| + m |log lam| + 2 kappa lam t) of the exact value, so
+    4 eps times the operands' largest magnitudes bounds their distance.  A
+    zero prior's or a dark z's log is the finite `_NO_WEIGHT`, as 0 * -inf is
+    nan: such an entry, where the exact log weight is -inf, lies far below
+    every other, and a dark z at m = 0 gets its exact log p0.
+    """
+    lam = table.intensity
+    operands = np.array([
+        np.log(p, out=np.full(len(p), _NO_WEIGHT), where=p > 0),
+        np.log(lam, out=np.full(len(lam), _NO_WEIGHT), where=lam > 0),
+        -(2.0 * kappa * lam)])
+    magnitude = np.abs(operands, where=operands > _NO_WEIGHT,
+                       out=np.zeros_like(operands)).max(axis=1)
+    return operands, 4.0 * np.finfo(float).eps * magnitude
+
+
+def sample_counts(p0: ZDistribution, table: AmplitudeTable, kappa: float,
+                  t: np.ndarray, seeds) -> np.ndarray:
+    """Each seed's count record over the strides' times t, one row per seed.
+
+    A seed's own `default_rng` draws z* ~ p0 once and every stride's count
+    in one Poisson call at the rate 2 kappa |alpha_z*|^2.
+    """
+    p, dt = p0.probabilities, np.diff(t)
+    rates = 2.0 * kappa * table.intensity
+    m = np.zeros((len(seeds), len(t)), dtype=np.int64)
+    for counts, seed in zip(m, seeds):
+        rng = np.random.default_rng(seed)
+        rate = rates[rng.choice(len(p), p=p)]
+        np.cumsum(rng.poisson(rate * dt), out=counts[1:])
+    return m
+
+
+def stop_strides(p0: ZDistribution, table: AmplitudeTable, kappa: float,
+                 m: np.ndarray, t: np.ndarray, stop_fwhm: float,
+                 threshold: float = PEAK_WEIGHT_THRESHOLD) -> np.ndarray:
+    """Per count record (a row of m over the strides' times t), the first
+    stride after the start whose posterior `_stop_rows` accepts, else the
+    last stride.
+
+    One loop over blocks of strides holds every record still running.  Each
+    block's log weights come from [1, m, t] rows' product with
+    `_log_weight_operands`, `_PRODUCT_ROWS` rows at a time.  Only rows that
+    `_may_stop` passes get the exact `_log_factor`, `_reweighted` and
+    `_stop_rows`, `_EXACT_ROWS` at a time: each record's first passed row,
+    then its next 2, 4, ... until one stops.  A stopped record's later rows
+    go unchecked, and those of later blocks are never built.  The latent z*
+    of a sampled record has a finite log weight on every row, so
+    `_reweighted` cannot abort here.
+    """
+    last = np.full(len(m), len(t) - 1)
+    if stop_fwhm <= 0:
+        return last
+    p, z = p0.probabilities, p0.z_values.astype(float)
+    operands, bound = _log_weight_operands(p, table, kappa)
+    live = np.arange(len(m))
+    # the initial state never stops a run
+    for start in range(1, len(t), _BLOCK_STRIDES):
+        counts = m[live, start:start + _BLOCK_STRIDES]
+        rows = np.ones((counts.size, 3))
+        rows[:, 1] = counts.ravel()
+        rows[:, 2] = np.tile(t[start:start + counts.shape[1]], len(live))
+        may = np.concatenate([
+            _may_stop(chunk @ operands, z, stop_fwhm, threshold, chunk @ bound)
+            for chunk in np.split(rows, range(_PRODUCT_ROWS, len(rows),
+                                              _PRODUCT_ROWS))
+        ]).reshape(counts.shape)
+        rank = np.cumsum(may, axis=1) * may  # 1, 2, ... along passed rows
+        stop = np.zeros(counts.shape, dtype=bool)
+        done = np.zeros(len(live), dtype=bool)
+        below = 0
+        while (todo := np.flatnonzero((rank > below) & (rank <= 2 * below + 1)
+                                      & ~done[:, None])).size:
+            for sub in np.split(todo, range(_EXACT_ROWS, len(todo),
+                                            _EXACT_ROWS)):
+                log_factor = _log_factor(table, kappa, rows[sub, 1],
+                                         rows[sub, 2])
+                stop.flat[sub] = _stop_rows(_reweighted(p, log_factor), z,
+                                            stop_fwhm, threshold)
+            done = stop.any(axis=1)
+            below = 2 * below + 1
+        last[live[done]] = start + stop[done].argmax(axis=1)
+        live = live[~done]
+        if not live.size:
+            break
+    return last
 
 
 @lru_cache(maxsize=32)
@@ -498,22 +617,22 @@ def _recording_grid(max_tau: float, sample_interval_tau: float | None,
     return taus, tuple(zip(points[is_snap].tolist(), stride[is_snap].tolist()))
 
 
-def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
-                   seed, max_tau: float, stop_fwhm: float = 0.5,
-                   sample_interval_tau: float | None = None,
-                   snapshot_taus=(), config: dict | None = None,
-                   peak_threshold: float = PEAK_WEIGHT_THRESHOLD) -> RunRecord:
-    """Simulate one quantum trajectory and record its counts.
+def run_trajectories(p0: ZDistribution, model: ProbeModel, seeds, *,
+                     max_tau: float, stop_fwhm: float = 0.5,
+                     sample_interval_tau: float | None = None,
+                     snapshot_taus=(), config: dict | None = None,
+                     peak_threshold: float = PEAK_WEIGHT_THRESHOLD
+                     ) -> Iterator[RunRecord]:
+    """Simulate one quantum trajectory per seed; yield their records in order.
 
-    z* ~ p0 is drawn once and every stride's count in one Poisson call.
-    The run stops at the first stride after the start whose peaks are all
-    narrower than stop_fwhm; over each block of strides, only the rows
-    `_may_stop` passes get a posterior and `_stop_rows`.
-    Deterministic for a given seed.
+    Up to `_MEMBERS` members at a time: `sample_counts` draws their count
+    records, and `stop_strides` finds in one loop over blocks of strides
+    where each stops, at the first stride after the start whose peaks are
+    all narrower than stop_fwhm.  Deterministic for given seeds; a record
+    does not depend on the other seeds.
     """
     if max_tau <= 0:
         raise ValueError("max_tau must be > 0")
-    rng = np.random.default_rng(seed)
     table = amplitude_table(model, p0.z_values)
     c2 = abs(table.c_constant) ** 2
     if c2 <= 0:
@@ -521,29 +640,25 @@ def run_trajectory(p0: ZDistribution, model: ProbeModel, *,
     taus, snap_strides = _recording_grid(max_tau, sample_interval_tau,
                                          tuple(snapshot_taus))
     t = taus * (1.0 / (2.0 * c2 * model.kappa))
-    p, z = p0.probabilities, p0.z_values.astype(float)
-    rate = 2.0 * model.kappa * table.intensity[rng.choice(len(p), p=p)]
-    m = np.concatenate(([0], np.cumsum(rng.poisson(rate * np.diff(t)))))
-    log_p = np.log(p, out=np.full(len(p), -np.inf), where=p > 0)
-    last = len(t) - 1
-    # the initial state never stops the run
-    for start in range(1, len(t), _BLOCK_STRIDES) if stop_fwhm > 0 else ():
-        block = slice(start, start + _BLOCK_STRIDES)
-        log_factor = _log_factor(table, model.kappa, m[block], t[block])
-        rows = np.flatnonzero(_may_stop(log_p + log_factor, z, stop_fwhm))
-        if rows.size:
-            stop = _stop_rows(_reweighted(p, log_factor[rows]), z, stop_fwhm,
-                              peak_threshold)
-            if stop.any():
-                last = start + int(rows[np.argmax(stop)])
-                break
+    seeds = iter(seeds)
+    while chunk := list(islice(seeds, _MEMBERS)):
+        m = sample_counts(p0, table, model.kappa, t, chunk)
+        last = stop_strides(p0, table, model.kappa, m, t, stop_fwhm,
+                            peak_threshold)
+        for seed, counts, k in zip(chunk, m, last.tolist()):
+            m_end, t_end = int(counts[k]), float(t[k])
+            final_state = TrajectoryState(
+                dist=closed_form_distribution(p0, table, model.kappa, m_end,
+                                              t_end),
+                amplitudes=table, kappa=model.kappa, m=m_end, t=t_end)
+            yield RunRecord(
+                m=counts[:k + 1].copy(), t=t, p0=p0, final_state=final_state,
+                outcome=classify_outcome(final_state, model, peak_threshold),
+                snapshot_strides={s: j for s, j in snap_strides if j <= k},
+                seed=seed, config=dict(config or {}))
 
-    m_end, t_end = int(m[last]), float(t[last])
-    final_state = TrajectoryState(
-        dist=closed_form_distribution(p0, table, model.kappa, m_end, t_end),
-        amplitudes=table, kappa=model.kappa, m=m_end, t=t_end)
-    return RunRecord(
-        m=m[:last + 1], t=t, p0=p0, final_state=final_state,
-        outcome=classify_outcome(final_state, model, peak_threshold),
-        snapshot_strides={s: k for s, k in snap_strides if k <= last},
-        seed=seed, config=dict(config or {}))
+
+def run_trajectory(p0: ZDistribution, model: ProbeModel, *, seed,
+                   **kwargs) -> RunRecord:
+    """One quantum trajectory: `run_trajectories` for the one seed."""
+    return next(run_trajectories(p0, model, [seed], **kwargs))

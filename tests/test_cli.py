@@ -190,6 +190,32 @@ def test_ensemble_rows_equal_single_runs(tmp_path):
             str(rec.final_state.m), cli._fmt(rec.final_state.tau)]
 
 
+def test_fig4_ensemble_aborts_at_its_first_unclassifiable_member(tmp_path,
+                                                                  capsys):
+    """fig4 at the benchmark's first two seeds: exit 4 with the error of the
+    first member that fails on its own, and no file written."""
+    cfg = parse_config(load_preset("fig4"))
+    p0, model = cli.initial_distribution(cfg), probe_model(cfg)
+    for seed in (3, 1003):
+        out = tmp_path / str(seed)
+        assert main(["ensemble", "--preset", "fig4", "--n-traj", "20",
+                     "--seed", str(seed), "--out", str(out)]) == 4
+        for i in range(20):
+            try:
+                run_trajectory(p0, model, seed=[seed, i], max_tau=cfg.max_tau,
+                               stop_fwhm=cfg.stop_fwhm,
+                               sample_interval_tau=cfg.sample_interval_tau,
+                               snapshot_taus=cfg.snapshots)
+            except trajectory.ClassificationError as exc:
+                first = exc
+                break
+        else:
+            raise AssertionError(f"no fig4 member fails at seed {seed}")
+        assert capsys.readouterr().err == (
+            f"classification ambiguity: {first}\n")
+        assert not any(out.iterdir())
+
+
 def test_ensemble_computes_no_observables(tmp_path, monkeypatch):
     """An ensemble reads only each member's counts, stop and outcome."""
     def refuse(self):
@@ -306,6 +332,8 @@ BAD_INPUTS = {
     "seed-flag-negative": (MAXIMUM, ["--seed", "-1"]),
     "n-traj-flag-zero": (MAXIMUM, ["--n-traj", "0"]),
     "snapshots-flag-text": (MAXIMUM, ["--snapshots", "abc"]),
+    "snapshots-negative": (MAXIMUM + "snapshots = -1,2\n", []),
+    "snapshots-flag-past-max-tau": (MAXIMUM, ["--snapshots", "5,999"]),
     "state-file-malformed": (MAXIMUM + "initial_state = file\n"
                              "initial_state_file = {tmp}/p0.txt\n", []),
     "loss-counts-negative": (MAXIMUM + "loss_counts = 0,-1\n", []),

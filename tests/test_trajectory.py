@@ -409,6 +409,41 @@ def _symmetric_rows(z, rng, count):
     return np.array(rows)
 
 
+def _product_rows(n, rng):
+    """Log weights from the [1, m, t] product, their slack and the exact
+    posteriors, on tables with a dark z and priors with zeros.
+
+    Per count m in 0..1e5, intensities e^(+-10 + eps (j - 6)) put the peak
+    of m log lam - lam t at a random grid point for t = m / lam*, with
+    m eps^2 from 0.05 (broad) to 300 (a point mass), eps <= 1; logw reaches
+    +-1e6.
+    """
+    from latticemc.optics import AmplitudeTable
+    kappa = 0.5
+    out = []
+    for m in (0, 1, 3, 30, 1000, 100_000):
+        for width in (0.05, 1.0, 10.0, 300.0):
+            for base in (10.0, -10.0):
+                eps = min(np.sqrt(width / max(m, 1)), 1.0)
+                lam = np.exp(base + eps * (np.arange(n) - 6.0))
+                lam[rng.integers(n)] = 0.0  # a dark z
+                table = AmplitudeTable(np.arange(n), np.sqrt(lam), 1.0 + 0j)
+                p = rng.uniform(0.1, 1.0, n) * (rng.random(n) < 0.7)
+                p[rng.choice(np.flatnonzero(lam))] += 1.0  # not all dark or 0
+                p /= p.sum()
+                peak = np.exp(base + eps * (rng.uniform(-2.0, 13.0, 40) - 6.0))
+                t = (np.maximum(m, rng.uniform(0.0, 3.0, 40))
+                     / (2.0 * kappa * peak))
+                mm = np.full(len(t), m)
+                rows = np.column_stack([np.ones(len(t)), mm, t])
+                operands, bound = trajectory._log_weight_operands(p, table,
+                                                                  kappa)
+                out.append((rows @ operands, rows @ bound,
+                            trajectory._reweighted(p, trajectory._log_factor(
+                                table, kappa, mm, t))))
+    return [np.concatenate(parts) for parts in zip(*out)]
+
+
 def test_may_stop_never_rejects_a_row_stop_rows_accepts():
     """`_may_stop` on log weights is a necessary condition for `_stop_rows`
     on their posterior: tie-heavy rows (plateaus, equal neighbours, single
@@ -416,37 +451,53 @@ def test_may_stop_never_rejects_a_row_stop_rows_accepts():
     s = stop_fwhm / (2 sqrt(2 ln 2)), broad basins whose peak holds less
     than a quarter, neighbours within 1e-9 of the top, and symmetric
     minimum-scenario rows, on grids of steps 1, 2 and alternately 2 and 1,
-    at thresholds up to one no value reaches, with log offsets up to 1e6."""
+    at thresholds up to one no value reaches, with log offsets up to 1e6;
+    and rows of the [1, m, t] product with their rounding slack, with dark
+    and zero-prior z and |logw| up to 1e6."""
     rng = np.random.default_rng(53)
     tied = {}
     for d in _tied_distributions(3000, seed=59):
         tied.setdefault(len(d.z_values), []).append(d.probabilities)
     broad = _broad_rows(12, rng, 300)
     seen, n_checked = set(), 0
+    seen_product = set()
     grids = (np.arange(12) - 6, 2 * (np.arange(12) - 6),
              np.cumsum([0] + [2, 1] * 5 + [2]) - 8)  # steps 1, 2 and mixed
     log_rng = np.random.default_rng(67)  # offsets and log-weight rows
     symmetric = _symmetric_rows(2 * np.arange(-10, 11), log_rng, 200)
+    # their own RNG, so the other rows draw as before
+    product_logw, slack, product_p = _product_rows(
+        12, np.random.default_rng(71))
+    assert (slack > 0).all()
+    real = product_logw[product_logw > -1e299]
+    assert real.max() > 5e5 and real.min() < -5e5
     for grid in grids:
         for stop_fwhm in (0.01, 0.5, 1.5, 3.0):
             s2 = (stop_fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))) ** 2
             tight = [row for rel in (1 - 1e-6, 1 + 1e-6)
                      for row in _rows_at_variance(s2 * rel, grid, rng)]
-            cases = [(_log_rows(rows, log_rng, scale), grid)
+            cases = [(_log_rows(rows, log_rng, scale), grid, 0.0, None)
                      for rows in (*tied.values(), tight, broad)
                      for scale in (0.0, 1e3, 1e6)]
-            cases += [(_near_tie_rows(12, log_rng, 500), grid),
-                      (symmetric, 2 * np.arange(-10, 11))]
-            for logw, z in cases:
+            cases += [(_near_tie_rows(12, log_rng, 500), grid, 0.0, None),
+                      (symmetric, 2 * np.arange(-10, 11), 0.0, None),
+                      (product_logw, grid, slack, product_p)]
+            for logw, z, row_slack, p in cases:
                 z = z[:logw.shape[1]]
                 with np.errstate(invalid="ignore"):  # empty basins
-                    p = trajectory._reweighted(np.ones(logw.shape[1]), logw)
-                    may = _may_stop(logw, z, stop_fwhm)
+                    if p is None:
+                        p = trajectory._reweighted(np.ones(logw.shape[1]),
+                                                   logw)
                     # values p takes, and above every value of the broad rows
                     for threshold in (0.0, 1e-3, 0.25, 1 / 3, 0.3):
+                        may = _may_stop(logw, z, stop_fwhm, threshold,
+                                        row_slack)
                         stop = _stop_rows(p, z, stop_fwhm, threshold)
                         assert not (stop & ~may).any()
-                        seen.update(zip(stop.tolist(), may.tolist()))
+                        pairs = set(zip(stop.tolist(), may.tolist()))
+                        seen |= pairs
+                        if logw is product_logw:
+                            seen_product |= pairs
                         n_checked += len(p)
             # the bound is attained on a two-point basin, so it is sharp
             if s2 * 1.00001 < np.diff(grid).min() ** 2 / 4:
@@ -454,7 +505,8 @@ def test_may_stop_never_rejects_a_row_stop_rows_accepts():
                 assert not _may_stop(_log_rows([row], log_rng, 1e3), grid,
                                      stop_fwhm)[0]
     assert n_checked > 12 * 5 * 3 * 3000
-    assert seen == {(True, True), (False, True), (False, False)}
+    assert seen == seen_product == {(True, True), (False, True),
+                                    (False, False)}
 
 
 def test_may_stop_passes_a_neighbour_that_ties_after_the_exponential():
@@ -545,6 +597,112 @@ def test_may_stop_leaves_records_unchanged(monkeypatch):
         assert any(not isinstance(r, str) and r[0][-1].tau < cfg.max_tau
                    for r in runs)
     assert any(isinstance(r, str) for runs in filtered for r in runs)
+
+
+def test_may_stop_allows_for_the_slack():
+    """Product rows within `slack` of the exact log weights.  A neighbour
+    2e-9 below the top can tie it exactly, and a top point mass 1e-13 below
+    the argmax can be the larger; each row stops on its exact posterior,
+    and only the slack makes `_may_stop` pass it."""
+    cases = (  # exact logw, product logw, slack, stop_fwhm, threshold
+        ([-np.inf, -1e-17, 0.0, -np.inf], [-np.inf, -1e-9 - 1e-17, 1e-9,
+                                            -np.inf], 1e-9, 0.5, 1e-3),
+        ([-0.1, -1e-13, -0.1, -np.inf, 0.0], [-0.1, 0.0, -0.1, -np.inf,
+                                              -1e-13], 1e-13, 0.5, None))
+    for exact, product, slack, stop_fwhm, threshold in cases:
+        exact, product = np.array([exact]), np.array([product])
+        p = trajectory._reweighted(np.ones(exact.shape[1]), exact)
+        threshold = p[0, -1] if threshold is None else threshold
+        z = np.arange(exact.shape[1])
+        assert _stop_rows(p, z, stop_fwhm, threshold)[0]
+        assert _may_stop(product, z, stop_fwhm, threshold, slack)[0]
+        assert not _may_stop(product, z, stop_fwhm, threshold, 0.0)[0]
+
+
+def _record_summary(rec):
+    return (rec.m.tobytes(), rec.m.dtype, rec.t.tobytes(), rec.final_state.m,
+            rec.final_state.t, rec.final_state.dist.probabilities.tobytes(),
+            rec.outcome, rec.snapshot_strides, rec.seed)
+
+
+def _batch_summaries(p0, model, seeds, **kwargs):
+    """Each seed's record summary, or its error, from `run_trajectories`
+    over the seeds, resumed after a member that raises."""
+    out = []
+    while len(out) < len(seeds):
+        try:
+            for rec in trajectory.run_trajectories(p0, model, seeds[len(out):],
+                                                   **kwargs):
+                out.append(_record_summary(rec))
+        except ClassificationError as exc:
+            out.append(repr(exc))
+    return out
+
+
+def _single_summaries(p0, model, seeds, **kwargs):
+    out = []
+    for seed in seeds:
+        try:
+            out.append(_record_summary(run_trajectory(p0, model, seed=seed,
+                                                      **kwargs)))
+        except ClassificationError as exc:
+            out.append(repr(exc))
+    return out
+
+
+def _config_runs(cfg):
+    return initial_distribution(cfg), probe_model(cfg), dict(
+        max_tau=cfg.max_tau, stop_fwhm=cfg.stop_fwhm,
+        sample_interval_tau=cfg.sample_interval_tau,
+        snapshot_taus=cfg.snapshots)
+
+
+def test_run_trajectories_equal_single_runs():
+    """A batch's records are, byte for byte, the members' single runs:
+    fig2-fig5, the maximum (dark z = 0) and minimum configs, and a Mott
+    point mass (zero-prior z), 6 seeds each."""
+    cases = [parse_config(load_preset(name))
+             for name in ("fig2", "fig3", "fig4", "fig5")]
+    cases += [parse_config(_SCENARIO_CONFIG.format(
+        scenario=scenario, n_illuminated=n_illuminated, stop_fwhm=stop_fwhm))
+        for scenario, n_illuminated, stop_fwhm in (("maximum", 50, 0.3),
+                                                   ("minimum", 100, 0.4))]
+    cases.append(parse_config(_SCENARIO_CONFIG.format(
+        scenario="maximum", n_illuminated=50, stop_fwhm=0.3).replace(
+            "superfluid", "mott")))
+    assert np.count_nonzero(initial_distribution(cases[-1]).probabilities) == 1
+    seeds = [[8, i] for i in range(6)]
+    for cfg in cases:
+        p0, model, kwargs = _config_runs(cfg)
+        assert (_batch_summaries(p0, model, seeds, **kwargs)
+                == _single_summaries(p0, model, seeds, **kwargs))
+
+
+def test_run_trajectories_across_member_chunks():
+    """fig2 with two chunks of members and a part chunk: members stop in
+    different blocks of strides or never, and each stops at the first
+    stride `_stop_rows` accepts on its whole record, as its single run."""
+    cfg = parse_config(load_preset("fig2"))
+    p0, model, kwargs = _config_runs(cfg)
+    seeds = [[9, i] for i in range(2 * trajectory._MEMBERS + 5)]
+    batch = _batch_summaries(p0, model, seeds, **kwargs)
+    assert batch == _single_summaries(p0, model, seeds, **kwargs)
+    records = list(trajectory.run_trajectories(p0, model, seeds, **kwargs))
+    table = amplitude_table(model, p0.z_values)
+    p, z = p0.probabilities, p0.z_values.astype(float)
+    blocks = set()
+    for rec in records:
+        full = run_trajectory(p0, model, seed=rec.seed,
+                              **{**kwargs, "stop_fwhm": 0.0})
+        stop = _stop_rows(trajectory._reweighted(p, trajectory._log_factor(
+            table, model.kappa, full.m[1:], rec.t[1:])), z, cfg.stop_fwhm,
+            trajectory.PEAK_WEIGHT_THRESHOLD)
+        last = 1 + int(np.argmax(stop)) if stop.any() else len(rec.t) - 1
+        assert len(rec.m) == last + 1
+        assert rec.m.tobytes() == full.m[:last + 1].tobytes()
+        blocks.add((last - 1) // trajectory._BLOCK_STRIDES
+                   if stop.any() else None)
+    assert None in blocks and len(blocks - {None}) >= 2
 
 
 def test_peak_collapse_width_point_mass_vanishes():

@@ -15,8 +15,11 @@ equal pass counts, so pick the two lengths to give equal passes (the
 faster side needs the shorter run); --pairs 0 runs the traced pair alone.
 
 The output file holds the environment, the seeds, every pair's end-to-end
-metrics, failures and output checks, and per metric the medians and
-quartiles of each side and the number of pairs the change wins.  Runs on
+metrics, failures and output checks, per metric the medians and quartiles
+of each side and the number of pairs the change wins, and per side the
+operations attempted and failed over all pairs.  A warning is printed when
+the change fails a larger share of its operations than the base, or either
+side writes incorrect outputs.  Runs on
 another workload or seed are merged into the same file under their own
 key, "<workload>/seed<seed>".
 """
@@ -87,6 +90,19 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def failures(pairs: list[dict]) -> dict:
+    """Per side: operations attempted and failed over all pairs, the failed
+    share, and whether every run's outputs were correct."""
+    out = {}
+    for side in ("base", "change"):
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        failed = sum(p[side]["failed"] for p in pairs)
+        out[side] = {"attempted": attempted, "failed": failed,
+                     "failed_share": failed / attempted if attempted else 0.0,
+                     "correct": all(p[side]["correct"] for p in pairs)}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True,
@@ -118,7 +134,9 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{name} {pair['base']['metrics'][name]['value']:.4g} -> "
                 f"{pair['change']['metrics'][name]['value']:.4g}"
-                for name in better), flush=True)
+                for name in better) + ", failed " + " -> ".join(
+                f"{pair[side]['failed']}/{pair[side]['attempted']}"
+                for side in ("base", "change")), flush=True)
         for side, seconds in zip(("base", "change"),
                                  args.trace_seconds or ()):
             traced[side], env = run_bench(trees[side], args, 1, seconds)
@@ -132,6 +150,7 @@ def main(argv=None) -> int:
                                                         "--porcelain"))}}
     if pairs:
         entry.update(seconds=args.seconds, summary=summarise(pairs, better),
+                     failures=failures(pairs),
                      quartiles="statistics.quantiles(n=4), exclusive method",
                      pairs=pairs)
     if traced:
@@ -144,6 +163,17 @@ def main(argv=None) -> int:
         print(f"{name:12s} median {s['base']['median']:.4g} -> "
               f"{s['change']['median']:.4g} ({s['median_ratio']:.3f}x), "
               f"change better in {s['wins']}/{s['pairs']} pairs")
+    if "failures" in entry:
+        base, change = entry["failures"]["base"], entry["failures"]["change"]
+        print("failed share  " + " -> ".join(
+            f"{f['failed']}/{f['attempted']} ({f['failed_share']:.4f})"
+            for f in (base, change)))
+        if change["failed_share"] > base["failed_share"]:
+            print("WARNING: the change fails a larger share of operations "
+                  "than the base")
+        for side, f in (("base", base), ("change", change)):
+            if not f["correct"]:
+                print(f"WARNING: {side} wrote incorrect outputs")
     return 0
 
 
