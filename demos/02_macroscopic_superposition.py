@@ -10,8 +10,7 @@ components dressed by different light phases.
 
 import numpy as np
 
-from latticemc import (LatticeSpec, ProbeModel, Scenario,
-                       conditional_photon_number, run_trajectory,
+from latticemc import (LatticeSpec, ProbeModel, Scenario, run_trajectory,
                        superfluid_atom_number)
 
 spec = LatticeSpec(n_atoms=100, n_sites=100, n_illuminated=50)
@@ -43,7 +42,7 @@ if out.kind == "doublet":
           f"{out.delta_z_predicted:.3f}")
     print(f"  light phase difference 2*phi = {2 * out.phase_phi:.4f} rad")
     c2 = abs(model.c_constant) ** 2
-    photons = conditional_photon_number(final) / c2
+    photons = final.amplitudes.intensity @ final.dist.probabilities / c2
     print(f"  reduced cavity photon number {photons:.6f} "
           f"(Lorentzian value {1 / (1 + out.delta_z**2):.6f})")
 print()

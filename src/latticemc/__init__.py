@@ -15,19 +15,14 @@ from .optics import (AmplitudeTable, ProbeModel, amplitude_table, cat_phase,
 from .oracle import (JointState, apply_jump, compare_with_exact,
                      evolve_nonhermitian, mott_joint_state, run_script,
                      superfluid_joint_state, z_marginal)
-from .photostats import (PhotonDistribution, cavity_photon_distribution,
-                         conditional_photocount_distribution,
-                         photocount_distribution)
+from .photostats import PhotonDistribution, photocount_distribution
 from .purity import CatMixture, density_matrix, purity, purity_sweep
-from .states import (ZDistribution, gaussian_approximation, load_distribution,
-                     mott_distribution, superfluid_atom_number,
-                     superfluid_difference)
+from .states import (ZDistribution, load_distribution, mott_distribution,
+                     superfluid_atom_number, superfluid_difference)
 from .trajectory import (OutcomeReport, RunRecord, TrajectoryState,
                          classify_outcome, closed_form_distribution,
-                         conditional_photon_number, exact_distribution,
-                         jump, mandel_q, no_count_step,
-                         predicted_widths, run_trajectories,
-                         run_trajectory, width)
+                         exact_distribution, jump, no_count_step,
+                         predicted_widths, run_trajectories, run_trajectory)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

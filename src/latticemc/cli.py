@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -69,23 +71,30 @@ class RunConfig:
         return d
 
 
-_REQUIRED = ("scenario", "n_atoms", "n_sites", "n_illuminated", "kappa",
-             "drive_scale", "max_tau")
-_OPTIONAL = ("kappa_over_u11", "z_p", "seed", "initial_state",
-             "initial_state_file", "stop_fwhm", "sample_interval_tau",
-             "snapshots", "n_traj", "loss_counts", "delta_z_max",
-             "delta_z_points")
-
-
 def _parse_number_list(text: str, cast):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(cast(part) for part in text.split(","))
+    return tuple(map(cast, text.split(","))) if text.strip() else ()
+
+
+def _parser(hint):
+    """The text-to-value cast of a `RunConfig` field with type hint `hint`."""
+    if hint is Scenario:
+        return lambda text: Scenario(text.lower())
+    cast = (get_args(hint) or (hint,))[0]  # X of X | None, tuple[X, ...]
+    if get_origin(hint) is tuple:  # comma-separated
+        return lambda text: _parse_number_list(text, cast)
+    return cast
+
+
+_FIELDS = {f.name: (f.default is MISSING, _parser(hint))
+           for f, hint in zip(fields(RunConfig),
+                              get_type_hints(RunConfig).values())}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a flat key = value document (strict: unknown keys rejected)."""
+    """Parse a flat key = value document (strict: unknown keys rejected).
+
+    The keys are `RunConfig`'s fields; those without a default are required.
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -98,55 +107,34 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    known = set(_REQUIRED) | set(_OPTIONAL)
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}")
-    missing = sorted(k for k in _REQUIRED if k not in raw)
+    missing = sorted(k for k, (required, _) in _FIELDS.items()
+                     if required and k not in raw)
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-
-    try:
-        scenario = Scenario(raw["scenario"].lower())
-    except ValueError:
-        raise ConfigError(f"scenario must be one of "
-                          f"{[s.value for s in Scenario]}, got {raw['scenario']!r}")
-
-    def get(key, cast, default=None):
-        if key not in raw:
-            return default
-        try:
-            return cast(raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from exc
-
-    cfg = RunConfig(
-        scenario=scenario,
-        n_atoms=get("n_atoms", int),
-        n_sites=get("n_sites", int),
-        n_illuminated=get("n_illuminated", int),
-        kappa=get("kappa", float),
-        drive_scale=get("drive_scale", float),
-        max_tau=get("max_tau", float),
-        kappa_over_u11=get("kappa_over_u11", float),
-        z_p=get("z_p", float),
-        seed=get("seed", int, 0),
-        initial_state=get("initial_state", str, "superfluid"),
-        initial_state_file=get("initial_state_file", str),
-        stop_fwhm=get("stop_fwhm", float, 0.5),
-        sample_interval_tau=get("sample_interval_tau", float),
-        snapshots=get("snapshots", lambda s: _parse_number_list(s, float), ()),
-        n_traj=get("n_traj", int, 1),
-        loss_counts=get("loss_counts", lambda s: _parse_number_list(s, int),
-                        (0, 1, 3, 10)),
-        delta_z_max=get("delta_z_max", float, 10.0),
-        delta_z_points=get("delta_z_points", int, 201),
-    )
-    _validate(cfg)
+    values = {}
+    for key, (_, cast) in _FIELDS.items():  # in field order
+        if key in raw:
+            try:
+                values[key] = cast(raw[key])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"scenario must be one of {[s.value for s in Scenario]}, "
+                    f"got {raw[key]!r}" if key == "scenario"
+                    else f"key {key!r}: {exc}") from exc
+    cfg = RunConfig(**values)
+    _check_fields(cfg)
+    try:  # the lattice, the scenario's geometry and the initial state
+        initial_distribution(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
-def _validate(cfg: RunConfig):
+def _check_fields(cfg: RunConfig):
+    """Reject field values out of range, one field or pair at a time."""
     if cfg.scenario is Scenario.TRANSMISSION:
         missing = [k for k in ("kappa_over_u11", "z_p")
                    if getattr(cfg, k) is None]
@@ -169,10 +157,6 @@ def _validate(cfg: RunConfig):
         raise ConfigError("initial_state must be superfluid, mott or file")
     if cfg.initial_state == "file" and not cfg.initial_state_file:
         raise ConfigError("initial_state = file requires initial_state_file")
-    try:  # the lattice, the scenario's geometry and the initial state
-        initial_distribution(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def lattice_spec(cfg: RunConfig) -> LatticeSpec:
@@ -212,36 +196,22 @@ def load_preset(name: str) -> str:
     return resources.files("latticemc.presets").joinpath(f"{name}.cfg").read_text()
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, header: list[str], rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 _CSV_CHUNK_ROWS = 1 << 16
 
 
 def _format_column(values: np.ndarray) -> list[str]:
-    """The `_fmt` text of every entry of a 1-D integer or float array."""
+    """The text of every entry of a 1-D array: integers in decimal, floats
+    at 17 significant digits (exact round trip), strings as they are."""
     if np.issubdtype(values.dtype, np.integer):
         return list(map(str, values.tolist()))
-    return ["%.17g" % v for v in values.astype(float, copy=False).tolist()]
+    if np.issubdtype(values.dtype, np.floating):
+        return ["%.17g" % v for v in values.tolist()]
+    return values.tolist()
 
 
 def _write_columns(path: Path, header: list[str], columns):
-    """Write equal-length numeric columns as CSV, a chunk of rows at a time.
-
-    Same bytes as `_write_csv` over the rows of the columns.
-    """
+    """Write equal-length integer, float or string columns as CSV, a chunk
+    of rows at a time."""
     columns = [np.asarray(c) for c in columns]
     n_rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="\n") as fh:
@@ -299,18 +269,18 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
     model = probe_model(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    outcomes = []
     counts = {"singlet": 0, "doublet": 0}
     m_at_tau: dict[float, list[int]] = {s: [] for s in cfg.snapshots}
     records = run_trajectories(
         p0, model, ([seed, i] for i in range(n_traj)), max_tau=cfg.max_tau,
         stop_fwhm=cfg.stop_fwhm, sample_interval_tau=cfg.sample_interval_tau,
         snapshot_taus=cfg.snapshots)
-    for i, record in enumerate(records):
+    for record in records:
         o = record.outcome
         counts[o.kind] += 1
-        rows.append((i, o.kind, o.z1, o.z2 if o.z2 is not None else "",
-                     record.final_state.m, record.final_state.tau))
+        outcomes.append((o.kind, o.z1, "" if o.z2 is None else str(o.z2),
+                         record.final_state.m, record.final_state.tau))
         for tau, samples in m_at_tau.items():
             k = record.snapshot_strides.get(tau)
             if k is not None:
@@ -321,10 +291,9 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
                    "seed": seed, "config": cfg.as_dict()},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_csv(out_dir / "ensemble_outcomes.csv",
-               ["trajectory", "kind", "z1", "z2", "m", "tau"],
-               [(i, k, z1, z2, m, _fmt(tau))
-                for (i, k, z1, z2, m, tau) in rows])
+    _write_columns(out_dir / "ensemble_outcomes.csv",
+                   ["trajectory", "kind", "z1", "z2", "m", "tau"],
+                   [np.arange(n_traj), *zip(*outcomes)])
 
     table = amplitude_table(model, p0.z_values)
     c2 = abs(table.c_constant) ** 2
@@ -343,12 +312,9 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
 def _m_histogram(samples: list[int], closed: np.ndarray):
     """Columns m, empirical and closed-form probability on a common m grid."""
     hist = np.bincount(samples, minlength=len(closed))
-    n_grid = np.arange(max(len(hist), len(closed)))
-    emp = np.zeros(len(n_grid))
-    emp[:len(hist)] = hist / len(samples)
-    theory = np.zeros(len(n_grid))
+    theory = np.zeros(len(hist))
     theory[:len(closed)] = closed
-    return [n_grid, emp, theory]
+    return [np.arange(len(hist)), hist / len(samples), theory]
 
 
 def cmd_purity_sweep(cfg: RunConfig, out_dir: Path) -> int:
@@ -356,10 +322,11 @@ def cmd_purity_sweep(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("purity sweep requires the transmission scenario")
     model = probe_model(cfg)
     grid = np.linspace(0.0, cfg.delta_z_max, cfg.delta_z_points)
-    rows = purity_sweep(cfg.loss_counts, grid, model)
+    dz, loss, purity = purity_sweep(cfg.loss_counts, grid, model
+                                    ).reshape(-1, 3).T
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "purity_sweep.csv", ["delta_z", "L", "purity"],
-               [(dz, int(L), p) for dz, L, p in rows])
+    _write_columns(out_dir / "purity_sweep.csv", ["delta_z", "L", "purity"],
+                   [dz, loss.astype(int), purity])
     return EXIT_OK
 
 
@@ -388,11 +355,13 @@ def cmd_oracle_check(out_dir: Path | None = None) -> int:
           f"(worst deviation {worst:.3e})")
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "oracle_check.csv",
-                   ["n_atoms", "scenario", "max_abs_deviation"], report)
+        _write_columns(out_dir / "oracle_check.csv",
+                       ["n_atoms", "scenario", "max_abs_deviation"],
+                       list(zip(*report)))
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
+@lru_cache(maxsize=1)  # built once: it does not depend on the input
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticemc",
@@ -430,14 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    """The config with `--snapshots` applied, validated with it and with the
-    `--seed` and `--n-traj` the command gets apart: outputs echo the file's
-    config."""
-    if args.preset:
-        text = load_preset(args.preset)
-    else:
-        text = args.config.read_text()
-    cfg = parse_config(text)
+    """The config with `--snapshots` applied, its fields checked with it and
+    with the `--seed` and `--n-traj` the command gets apart: outputs echo
+    the file's config."""
+    cfg = parse_config(load_preset(args.preset) if args.preset
+                       else args.config.read_text())
     snapshots = getattr(args, "snapshots", None)
     if snapshots:
         try:
@@ -447,7 +413,7 @@ def _load_config(args) -> RunConfig:
     flags = {k: v for k in ("seed", "n_traj")
              if (v := getattr(args, k, None)) is not None}
     if flags or snapshots:
-        _validate(replace(cfg, **flags))
+        _check_fields(replace(cfg, **flags))
     return cfg
 
 

@@ -1,36 +1,27 @@
 """Photon-counting statistics.
 
-Cavity photon-number and photocount distributions are p(z)-mixtures of
-Poissonians; all three families here share one log-space mixture kernel.
+The photocount distribution is a p(z)-mixture of Poissonians, summed by one
+log-space mixture kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import gammaln
 
 from .optics import AmplitudeTable
 from .states import ZDistribution
-from .trajectory import TrajectoryState
 
 _TAIL_BOUND = 1e-10
 _START_SDS = 10.0  # truncation starts this many sds past the largest rate
-
-
-class DistributionKind(Enum):
-    CAVITY_NUMBER = "cavity_number"
-    COUNTS = "counts"
-    CONDITIONAL_COUNTS = "conditional_counts"
 
 
 @dataclass(frozen=True)
 class PhotonDistribution:
     n_values: np.ndarray
     probabilities: np.ndarray
-    kind: DistributionKind
 
     def __post_init__(self):
         n = np.asarray(self.n_values, dtype=int)
@@ -59,8 +50,8 @@ class PhotonDistribution:
         return self.fano - 1.0
 
 
-def poisson_mixture(rates: np.ndarray, weights: np.ndarray,
-                    kind: DistributionKind) -> PhotonDistribution:
+def poisson_mixture(rates: np.ndarray, weights: np.ndarray
+                    ) -> PhotonDistribution:
     """sum_z weights[z] * Poisson(n; rates[z]), truncated to tail < 1e-10.
 
     Poisson terms use log factorials; each z adds them only over rate +-
@@ -92,14 +83,7 @@ def poisson_mixture(rates: np.ndarray, weights: np.ndarray,
         if n_max >= highs.max(initial=0):  # no term is left to add
             raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
         n_max *= 2
-    return PhotonDistribution(n, p / p.sum(), kind)
-
-
-def cavity_photon_distribution(state: TrajectoryState) -> PhotonDistribution:
-    """Probability of n photons in the cavity for the conditional state."""
-    return poisson_mixture(state.amplitudes.intensity,
-                           state.dist.probabilities,
-                           DistributionKind.CAVITY_NUMBER)
+    return PhotonDistribution(n, p / p.sum())
 
 
 def photocount_distribution(p0: ZDistribution, amplitudes: AmplitudeTable,
@@ -107,24 +91,10 @@ def photocount_distribution(p0: ZDistribution, amplitudes: AmplitudeTable,
     """Ensemble probability of m detections in [0, t] (steady regime).
 
     The mean grows as 2 kappa t <a+ a>_0; the distribution is never
-    sub-Poissonian.
+    sub-Poissonian.  Given the conditional distribution reached at T in
+    place of p0, it is the law of the counts in (T, T + t].
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     return poisson_mixture(2.0 * kappa * amplitudes.intensity * t,
-                           p0.probabilities, DistributionKind.COUNTS)
-
-
-def conditional_photocount_distribution(p_at_T: ZDistribution,
-                                        amplitudes: AmplitudeTable,
-                                        kappa: float, T: float, t: float
-                                        ) -> PhotonDistribution:
-    """Counts in (T, t] given the conditional distribution reached at T.
-
-    A zero-length window (t == T) yields a point mass at m = 0.
-    """
-    if t < T:
-        raise ValueError("need t >= T")
-    return poisson_mixture(2.0 * kappa * amplitudes.intensity * (t - T),
-                           p_at_T.probabilities,
-                           DistributionKind.CONDITIONAL_COUNTS)
+                           p0.probabilities)

@@ -1,8 +1,7 @@
 """Initial atom-number distributions p0(z).
 
-Constructors for the superfluid (binomial), Mott-insulator (point mass),
-Gaussian-approximate and file-loaded distributions over the scenario's
-statistical variable z.
+Constructors for the superfluid (binomial), Mott-insulator (point mass)
+and file-loaded distributions over the scenario's statistical variable z.
 """
 
 from __future__ import annotations
@@ -93,16 +92,6 @@ def superfluid_difference(spec: LatticeSpec) -> ZDistribution:
     z_tilde = np.arange(n + 1)
     p = np.exp(binom.logpmf(z_tilde, n, 0.5))
     return ZDistribution(2 * z_tilde - n, _normalized(p))
-
-
-def gaussian_approximation(mean: float, sigma: float, z_grid) -> ZDistribution:
-    """Discrete Gaussian weights renormalized on the given z grid."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    z = np.asarray(z_grid, dtype=int)
-    logw = -0.5 * ((z - mean) / sigma) ** 2
-    w = np.exp(logw - logw.max())
-    return ZDistribution(z, _normalized(w))
 
 
 def mott_distribution(spec: LatticeSpec, scenario: Scenario) -> ZDistribution:

@@ -182,75 +182,6 @@ def jump(state: TrajectoryState) -> TrajectoryState:
     return replace(state, dist=state.dist.with_probabilities(p), m=state.m + 1)
 
 
-def conditional_photon_number(state: TrajectoryState) -> float:
-    """<a+ a>_c = sum_z |alpha_z|^2 p(z)."""
-    return float(np.dot(state.amplitudes.intensity, state.dist.probabilities))
-
-
-def mandel_q(state: TrajectoryState) -> float:
-    """Mandel Q of the p(z) mixture of coherent components.
-
-    Equals Var_z(|alpha_z|^2) / <|alpha_z|^2>; zero once p(z) has support
-    on a single intensity value (coherent light), positive otherwise.
-    """
-    lam = state.amplitudes.intensity
-    p = state.dist.probabilities
-    mean = float(np.dot(lam, p))
-    if mean <= 0:
-        raise ValueError("Mandel Q undefined: zero mean photon number")
-    var = float(np.dot(lam**2, p)) - mean**2
-    return var / mean
-
-
-def width(state: TrajectoryState) -> float:
-    """Standard deviation of the atom-number distribution."""
-    return state.dist.std
-
-
-def detect_peaks(dist: ZDistribution,
-                 threshold: float = PEAK_WEIGHT_THRESHOLD) -> list[int]:
-    """Indices of local maxima of p(z) carrying weight above threshold.
-
-    A maximum rises strictly from its left neighbour and is not exceeded by
-    its right one, so a plateau counts once, at its left end.
-    """
-    p = dist.probabilities
-    padded = np.concatenate(([-np.inf], p, [-np.inf]))
-    mid = padded[1:-1]
-    return np.flatnonzero((mid > padded[:-2]) & (mid >= padded[2:])
-                          & (p >= threshold)).tolist()
-
-
-def fwhm_of_peak(dist: ZDistribution, peak_index: int) -> float:
-    """FWHM of one peak via half-maximum crossings, linearly interpolated.
-
-    Peaks narrower than the grid spacing report the interpolation floor,
-    never zero, unless the peak is a strict point mass.
-    """
-    z = dist.z_values.astype(float)
-    p = dist.probabilities
-    half = p[peak_index] / 2.0
-    # walk left
-    i = peak_index
-    while i > 0 and p[i - 1] > half and p[i - 1] < p[i]:
-        i -= 1
-    if i == 0 or p[i - 1] >= p[i]:
-        left = z[i]
-    else:
-        frac = (p[i] - half) / (p[i] - p[i - 1])
-        left = z[i] - frac * (z[i] - z[i - 1])
-    j = peak_index
-    n = len(p)
-    while j < n - 1 and p[j + 1] > half and p[j + 1] < p[j]:
-        j += 1
-    if j == n - 1 or p[j + 1] >= p[j]:
-        right = z[j]
-    else:
-        frac = (p[j] - half) / (p[j] - p[j + 1])
-        right = z[j] + frac * (z[j + 1] - z[j])
-    return float(right - left)
-
-
 def predicted_widths(scenario: Scenario, m: int, tau: float,
                      kappa_over_u11: float | None = None,
                      delta_z: float | None = None) -> float:
@@ -319,7 +250,7 @@ def classify_outcome(state: TrajectoryState, model: ProbeModel,
                      threshold: float = PEAK_WEIGHT_THRESHOLD) -> OutcomeReport:
     """Classify the final conditional state as a singlet or doublet."""
     dist = state.dist
-    peaks = detect_peaks(dist, threshold)
+    peaks = _peaks(dist.probabilities[None], threshold)[1].tolist()
     if not peaks:
         raise ClassificationError("no peak above the weight threshold")
     z = dist.z_values
@@ -394,22 +325,6 @@ def classify_outcome(state: TrajectoryState, model: ProbeModel,
                          delta_z_predicted=dz_pred)
 
 
-def peak_collapse_width(dist: ZDistribution, peak_index: int) -> float:
-    """Gaussian-equivalent FWHM 2 sqrt(2 ln2) sigma of one peak's basin.
-
-    Unlike the interpolated FWHM this goes to zero for a point mass, so it
-    can drive the stop condition below one grid unit.
-    """
-    p = dist.probabilities
-    (i,), (j,) = _basin_bounds(p, [peak_index])
-    w = p[i:j + 1]
-    zz = dist.z_values[i:j + 1].astype(float)
-    total = w.sum()
-    mean = np.dot(zz, w) / total
-    var = np.dot((zz - mean) ** 2, w) / total
-    return float(2.0 * np.sqrt(2.0 * LN2 * max(var, 0.0)))
-
-
 def _basin_bounds(p: np.ndarray, peaks) -> tuple[np.ndarray, np.ndarray]:
     """First and last index of each peak's basin.
 
@@ -424,31 +339,50 @@ def _basin_bounds(p: np.ndarray, peaks) -> tuple[np.ndarray, np.ndarray]:
     return first, last
 
 
-def _stop_rows(p: np.ndarray, z: np.ndarray, stop_fwhm: float,
-               threshold: float) -> np.ndarray:
-    """Per row of p (strides x z): a peak exists and every peak is narrow.
+def _peaks(p: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every peak of p (rows x z), in row-major order.
 
-    Peaks as `detect_peaks`, each with `peak_collapse_width` < stop_fwhm.
-    The rows lie end to end between -inf walls, which no basin crosses,
-    for one `_basin_bounds` call; each basin's moments are masked sums
-    about its own mean.
+    A peak is a local maximum of its row carrying weight at or above
+    threshold: it rises strictly from its left neighbour and is not
+    exceeded by its right one, so a plateau counts once, at its left end.
     """
-    n_rows, n = p.shape
-    wall = np.full((n_rows, 1), -np.inf)
-    padded = np.hstack([wall, p, wall])
-    rows, cols = np.nonzero((p > padded[:, :-2]) & (p >= padded[:, 2:])
-                            & (p >= threshold))
-    start = (rows * (n + 2) + 1)[:, None]  # flat index of each row's z[0]
-    first, last = _basin_bounds(padded.ravel(), start[:, 0] + cols)
-    cols = np.arange(n)
-    w = np.where((cols >= first[:, None] - start)
-                 & (cols <= last[:, None] - start), p[rows], 0.0)
+    peak = p >= threshold
+    peak[:, 1:] &= p[:, 1:] > p[:, :-1]
+    peak[:, :-1] &= p[:, :-1] >= p[:, 1:]
+    return np.nonzero(peak)
+
+
+def _peak_widths(p: np.ndarray, z: np.ndarray, threshold: float
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and basin FWHM of every one of p's `_peaks`.
+
+    The width is the Gaussian-equivalent FWHM 2 sqrt(2 ln2) sigma of the
+    peak's basin; unlike a half-maximum width it goes to zero for a point
+    mass, so it can stop a run below one grid unit.  One `_basin_bounds`
+    call walks the rows end to end, and a walk past its row's ends is cut
+    there by the mask of the basin's columns; each basin's moments are
+    masked sums about its own mean.
+    """
+    rows, cols = _peaks(p, threshold)
+    start = (rows * p.shape[1])[:, None]  # flat index of each row's z[0]
+    first, last = _basin_bounds(p.ravel(), start[:, 0] + cols)
+    grid = np.arange(p.shape[1])
+    w = np.where((grid >= first[:, None] - start)
+                 & (grid <= last[:, None] - start), p[rows], 0.0)
     total = w.sum(axis=1)
     mean = w @ z / total
     var = (w * (z - mean[:, None]) ** 2).sum(axis=1) / total
-    wide = ~(2.0 * np.sqrt(2.0 * LN2 * np.maximum(var, 0.0)) < stop_fwhm)
-    return ((np.bincount(rows, minlength=n_rows) > 0)
-            & (np.bincount(rows, weights=wide, minlength=n_rows) == 0))
+    return rows, cols, 2.0 * np.sqrt(2.0 * LN2 * np.maximum(var, 0.0))
+
+
+def _stop_rows(p: np.ndarray, z: np.ndarray, stop_fwhm: float,
+               threshold: float) -> np.ndarray:
+    """Per row of p (strides x z): a peak exists and every peak's
+    `_peak_widths` FWHM is below stop_fwhm."""
+    rows, _, fwhm = _peak_widths(p, z, threshold)
+    return ((np.bincount(rows, minlength=len(p)) > 0)
+            & (np.bincount(rows, weights=~(fwhm < stop_fwhm),
+                           minlength=len(p)) == 0))
 
 
 def _may_stop(logw: np.ndarray, z: np.ndarray, stop_fwhm: float,

@@ -19,10 +19,10 @@ from latticemc.oracle import compare_with_exact
 from latticemc.photostats import photocount_distribution
 from latticemc.purity import CatMixture, density_matrix, purity, purity_sweep
 from latticemc.states import superfluid_atom_number, superfluid_difference
-from latticemc.trajectory import (TrajectoryState, conditional_photon_number,
-                                  detect_peaks,
-                                  fwhm_of_peak, jump, no_count_step,
+from latticemc.trajectory import (PEAK_WEIGHT_THRESHOLD, TrajectoryState,
+                                  _peaks, jump, no_count_step,
                                   predicted_widths, run_trajectory)
+from reference import fwhm_of_peak
 
 SPEC = LatticeSpec(100, 100, 50)
 P0 = superfluid_atom_number(SPEC)
@@ -155,7 +155,8 @@ def test_criterion_3_maximum_collapse(capsys):
         z1s.append(z1)
         worst_z = max(worst_z, abs(z1 - np.sqrt(st.m / st.tau)))
         worst_ph = max(worst_ph,
-                       abs(conditional_photon_number(st) - c2 * z1**2))
+                       abs(st.amplitudes.intensity @ st.dist.probabilities
+                           - c2 * z1**2))
     obs = np.bincount(z1s, minlength=len(P0.z_values)).astype(float)
     pval = pooled_chisquare_p(obs, P0.probabilities * len(z1s))
     elapsed = time.time() - t0
@@ -236,7 +237,8 @@ def test_criterion_6_wing_doublet(capsys):
         ratio_devs.append(w1 / w2 - want)
         if (o.z1, o.z2) == (67, 53):
             seven = w1 / w2
-        ph = conditional_photon_number(rec.final_state) / c2
+        st = rec.final_state
+        ph = st.amplitudes.intensity @ st.dist.probabilities / c2
         worst_ph = max(worst_ph, abs(ph - 1.0 / (1.0 + o.delta_z**2)))
     ratio_devs = np.array(ratio_devs)
     sem = ratio_devs.std(ddof=1) / np.sqrt(len(ratio_devs))
@@ -260,7 +262,7 @@ def test_criterion_7_width_laws(capsys):
                              snapshot_taus=snap_taus)
         for s in snap_taus:
             dist = rec.snapshots[s]
-            peaks = detect_peaks(dist)
+            peaks = _peaks(dist.probabilities[None], PEAK_WEIGHT_THRESHOLD)[1]
             if len(peaks) != 1:
                 continue
             meas = fwhm_of_peak(dist, peaks[0])
@@ -282,7 +284,7 @@ def test_criterion_7_width_laws(capsys):
         if rec.outcome.kind != "singlet":
             continue
         dist = rec.snapshots[tau_meas]
-        peaks = detect_peaks(dist)
+        peaks = _peaks(dist.probabilities[None], PEAK_WEIGHT_THRESHOLD)[1]
         if len(peaks) != 1:
             continue
         tratios.append(fwhm_of_peak(dist, peaks[0]) / pred)

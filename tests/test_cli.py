@@ -187,7 +187,7 @@ def test_ensemble_rows_equal_single_runs(tmp_path):
         o = rec.outcome
         assert row.split(",") == [
             str(i), o.kind, str(o.z1), "" if o.z2 is None else str(o.z2),
-            str(rec.final_state.m), cli._fmt(rec.final_state.tau)]
+            str(rec.final_state.m), format(rec.final_state.tau, ".17g")]
 
 
 def test_fig4_ensemble_aborts_at_its_first_unclassifiable_member(tmp_path,
@@ -231,22 +231,26 @@ def test_ensemble_computes_no_observables(tmp_path, monkeypatch):
 
 
 DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
+DIGEST_RUNS = {
+    **{f"{command} {preset}": [command, "--preset", preset, "--seed", "11",
+                               *extra]
+       for preset in ("fig2", "fig3", "fig4", "fig5")
+       for command, extra in (("trajectory", []),
+                              ("ensemble", ["--n-traj", "6"]))},
+    "purity-sweep fig6": ["purity-sweep", "--preset", "fig6"],
+}
 
 
 def output_digests(out_root: Path) -> dict:
     """Exit code and sha256 of every file `trajectory` and `ensemble
-    --n-traj 6` write on fig2-fig5 at seed 11."""
+    --n-traj 6` write on fig2-fig5 at seed 11, and `purity-sweep` on fig6."""
     digests = {}
-    for preset in ("fig2", "fig3", "fig4", "fig5"):
-        for command, extra in (("trajectory", []),
-                               ("ensemble", ["--n-traj", "6"])):
-            out = out_root / f"{command}-{preset}"
-            rc = main([command, "--preset", preset, "--seed", "11",
-                       "--out", str(out), *extra])
-            digests[f"{command} {preset}"] = {
-                "exit_code": rc,
-                "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                          for p in sorted(out.glob("*"))}}
+    for name, argv in DIGEST_RUNS.items():
+        out = out_root / name.replace(" ", "-")
+        digests[name] = {
+            "exit_code": main([*argv, "--out", str(out)]),
+            "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in sorted(out.glob("*"))}}
     return digests
 
 
@@ -255,6 +259,22 @@ def test_outputs_match_recorded_digests(tmp_path):
     outputs records new digests with `PYTHONPATH=src python
     tests/test_cli.py`."""
     assert output_digests(tmp_path) == json.loads(DIGESTS.read_text())
+
+
+def _write_rows(path: Path, header: list[str], rows):
+    """Reference CSV writer, one value at a time: integers in decimal,
+    floats at 17 significant digits, strings as they are."""
+    def text(x):
+        if isinstance(x, str):
+            return x
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return format(float(x), ".17g")
+
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(text, row)) + "\n")
 
 
 WRITER_VALUES = [0.0, -0.0, 5e-324, 1e-310, 1 / 3, 1e300, -2.5,
@@ -273,9 +293,12 @@ def test_column_writer_matches_row_writer(tmp_path, monkeypatch, chunk):
     bits = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64)
     rand = bits.view(np.float64)  # any sign and exponent
     rand = np.where(np.isfinite(rand), rand, 0.5)
-    header = ["i", "x", "y"]
-    cli._write_csv(tmp_path / "rows.csv", header, zip(ints, floats, rand))
-    cli._write_columns(tmp_path / "cols.csv", header, [ints, floats, rand])
+    words = ["singlet", "doublet", "", "52"] * 3 + ["x"]
+    header = ["i", "x", "y", "kind"]
+    _write_rows(tmp_path / "rows.csv", header,
+                zip(ints, floats, rand, words))
+    cli._write_columns(tmp_path / "cols.csv", header,
+                       [ints, floats, rand, np.array(words)])
     want = (tmp_path / "rows.csv").read_bytes()
     assert (tmp_path / "cols.csv").read_bytes() == want
     assert want.count(b"\n") == n + 1
@@ -283,12 +306,12 @@ def test_column_writer_matches_row_writer(tmp_path, monkeypatch, chunk):
     # Python scalars in lists, as the trajectory writer passes them
     cli._write_columns(tmp_path / "lists.csv", header,
                        [[int(v) for v in ints], list(WRITER_VALUES),
-                        rand.tolist()])
+                        rand.tolist(), words])
     assert (tmp_path / "lists.csv").read_bytes() == want
 
 
 def test_column_writer_empty(tmp_path):
-    cli._write_csv(tmp_path / "rows.csv", ["a", "b"], [])
+    _write_rows(tmp_path / "rows.csv", ["a", "b"], [])
     cli._write_columns(tmp_path / "cols.csv", ["a", "b"],
                        [np.zeros(0, dtype=int), np.zeros(0)])
     assert ((tmp_path / "cols.csv").read_bytes()
@@ -354,6 +377,18 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, text, flags):
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+def test_ensemble_flags_rebuild_no_initial_state(tmp_path, monkeypatch):
+    """`--seed` and `--n-traj` re-check the config's fields only: p0 is
+    built once to validate the config and once to run it."""
+    builds = []
+    real = cli.initial_distribution
+    monkeypatch.setattr(cli, "initial_distribution",
+                        lambda cfg: builds.append(cfg) or real(cfg))
+    assert main(["ensemble", "--preset", "fig2", "--n-traj", "2", "--seed",
+                 "4", "--snapshots", "1", "--out", str(tmp_path)]) == 0
+    assert len(builds) == 2
 
 
 def test_initial_state_file_roundtrip(tmp_path):

@@ -6,12 +6,10 @@ from scipy.stats import poisson
 from latticemc import photostats
 from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import ProbeModel, amplitude_table
-from latticemc.photostats import (DistributionKind, PhotonDistribution,
-                                  cavity_photon_distribution,
-                                  conditional_photocount_distribution,
+from latticemc.photostats import (PhotonDistribution,
                                   photocount_distribution, poisson_mixture)
 from latticemc.states import mott_distribution, superfluid_atom_number
-from latticemc.trajectory import TrajectoryState, closed_form_distribution
+from latticemc.trajectory import closed_form_distribution
 
 SPEC = LatticeSpec(100, 100, 50)
 
@@ -21,8 +19,7 @@ def max_model():
 
 
 def test_poisson_mixture_single_component_is_poisson():
-    d = poisson_mixture(np.array([3.5]), np.array([1.0]),
-                        DistributionKind.COUNTS)
+    d = poisson_mixture(np.array([3.5]), np.array([1.0]))
     np.testing.assert_allclose(d.probabilities,
                                poisson.pmf(d.n_values, 3.5), atol=1e-12)
     assert d.mean == pytest.approx(3.5, abs=1e-9)
@@ -31,8 +28,7 @@ def test_poisson_mixture_single_component_is_poisson():
 
 
 def test_poisson_mixture_zero_rate_point_mass():
-    d = poisson_mixture(np.array([0.0]), np.array([1.0]),
-                        DistributionKind.COUNTS)
+    d = poisson_mixture(np.array([0.0]), np.array([1.0]))
     assert d.probabilities[0] == pytest.approx(1.0, abs=1e-12)
     assert d.mean == 0.0
 
@@ -41,7 +37,7 @@ def test_poisson_mixture_moments():
     # mixture mean is the weighted rate; variance gains the rate spread
     rates = np.array([1.0, 9.0])
     w = np.array([0.5, 0.5])
-    d = poisson_mixture(rates, w, DistributionKind.COUNTS)
+    d = poisson_mixture(rates, w)
     assert d.mean == pytest.approx(5.0, abs=1e-8)
     assert d.variance == pytest.approx(5.0 + 16.0, abs=1e-6)
     assert d.fano == pytest.approx(1.0 + 16.0 / 5.0, abs=1e-6)
@@ -52,13 +48,12 @@ def test_poisson_mixture_never_subpoissonian():
     for _ in range(30):
         rates = rng.uniform(0, 20, size=5)
         w = rng.dirichlet(np.ones(5))
-        d = poisson_mixture(rates, w, DistributionKind.COUNTS)
+        d = poisson_mixture(rates, w)
         assert d.fano >= 1.0 - 1e-9
 
 
 def test_poisson_mixture_tail_truncation():
-    d = poisson_mixture(np.array([200.0]), np.array([1.0]),
-                        DistributionKind.COUNTS)
+    d = poisson_mixture(np.array([200.0]), np.array([1.0]))
     # renormalized after capturing all but < 1e-10 of the mass
     assert d.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
     assert d.mean == pytest.approx(200.0, abs=1e-6)
@@ -89,7 +84,7 @@ def _dense_poisson_mixture(rates, weights, start_sds=10.0):
 ])
 def test_poisson_mixture_matches_dense_reference(rates, weights):
     rates, weights = np.array(rates), np.array(weights)
-    got = poisson_mixture(rates, weights, DistributionKind.COUNTS)
+    got = poisson_mixture(rates, weights)
     n, p = _dense_poisson_mixture(rates, weights)
     np.testing.assert_array_equal(got.n_values, n)
     assert np.abs(got.probabilities - p).max() <= 1e-15
@@ -111,7 +106,7 @@ def test_poisson_mixture_doubling_matches_dense_reference(monkeypatch):
     # starting the truncation at the largest rate leaves a tail of ~0.27
     monkeypatch.setattr(photostats, "_START_SDS", 0.0)
     rates, weights = np.array([0.0, 1000.0]), np.array([0.25, 0.75])
-    got = poisson_mixture(rates, weights, DistributionKind.COUNTS)
+    got = poisson_mixture(rates, weights)
     n, p = _dense_poisson_mixture(rates, weights, start_sds=0.0)
     assert len(n) == 2 * 1020 + 1
     np.testing.assert_array_equal(got.n_values, n)
@@ -121,28 +116,25 @@ def test_poisson_mixture_doubling_matches_dense_reference(monkeypatch):
 def test_poisson_mixture_rejects_short_weights():
     # the missing mass is nowhere on the n axis, so doubling cannot find it
     with pytest.raises(ValueError, match="weights sum to"):
-        poisson_mixture(np.array([3.0, 40.0]), np.array([0.5, 0.4]),
-                        DistributionKind.COUNTS)
+        poisson_mixture(np.array([3.0, 40.0]), np.array([0.5, 0.4]))
 
 
 def test_poisson_mixture_rejects_negative_rates():
     with pytest.raises(ValueError):
-        poisson_mixture(np.array([-1.0]), np.array([1.0]),
-                        DistributionKind.COUNTS)
+        poisson_mixture(np.array([-1.0]), np.array([1.0]))
 
 
 def test_photon_distribution_normalization_guard():
     with pytest.raises(ValueError):
-        PhotonDistribution(np.arange(2), np.array([0.7, 0.7]),
-                           DistributionKind.COUNTS)
+        PhotonDistribution(np.arange(2), np.array([0.7, 0.7]))
 
 
 def test_cavity_photon_distribution_superfluid():
     p0 = superfluid_atom_number(SPEC)
     model = max_model()
     table = amplitude_table(model, p0.z_values)
-    st = TrajectoryState(dist=p0, amplitudes=table, kappa=1.0)
-    d = cavity_photon_distribution(st)
+    # the cavity photon number is the p(z) mixture of Poissons at |alpha_z|^2
+    d = poisson_mixture(table.intensity, p0.probabilities)
     # <n> = |C|^2 <z^2> = |C|^2 (25 + 2500)
     assert d.mean == pytest.approx(abs(model.c_constant) ** 2 * 2525.0,
                                    rel=1e-6)
@@ -153,8 +145,7 @@ def test_cavity_photon_distribution_mott_is_coherent():
     p0 = mott_distribution(SPEC, Scenario.MAXIMUM)
     model = max_model()
     table = amplitude_table(model, p0.z_values)
-    st = TrajectoryState(dist=p0, amplitudes=table, kappa=1.0)
-    d = cavity_photon_distribution(st)
+    d = poisson_mixture(table.intensity, p0.probabilities)
     assert d.mandel_q == pytest.approx(0.0, abs=1e-6)
     assert d.mean == pytest.approx(2500.0 * abs(model.c_constant) ** 2,
                                    rel=1e-6)
@@ -180,15 +171,6 @@ def test_photocount_distribution_zero_time():
     assert d.probabilities[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_conditional_photocount_point_mass_at_equal_times():
-    p0 = superfluid_atom_number(SPEC)
-    table = amplitude_table(max_model(), p0.z_values)
-    d = conditional_photocount_distribution(p0, table, 1.0, T=2.0, t=2.0)
-    assert d.probabilities[0] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        conditional_photocount_distribution(p0, table, 1.0, T=2.0, t=1.0)
-
-
 def test_conditional_photocount_narrows_after_conditioning():
     """Conditioning on a past record reduces the count uncertainty."""
     p0 = superfluid_atom_number(SPEC)
@@ -197,7 +179,7 @@ def test_conditional_photocount_narrows_after_conditioning():
     dt = 0.002
     prior = photocount_distribution(p0, table, 1.0, dt)
     collapsed = closed_form_distribution(p0, table, 1.0, m=5000, t=2.0)
-    post = conditional_photocount_distribution(collapsed, table, 1.0,
-                                               T=2.0, t=2.0 + dt)
+    # the counts in (2, 2 + dt] given the state reached at t = 2
+    post = photocount_distribution(collapsed, table, 1.0, dt)
     assert post.fano < prior.fano
     assert post.fano >= 1.0 - 1e-9

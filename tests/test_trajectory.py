@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -10,19 +11,16 @@ from latticemc.cli import (initial_distribution, load_preset, parse_config,
 from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import (ProbeModel, amplitude_table,
                               prefactor_exponent_exact, transient_amplitude)
-from latticemc.photostats import photocount_distribution
-from latticemc.states import (ZDistribution, gaussian_approximation,
-                              mott_distribution, superfluid_atom_number,
-                              superfluid_difference)
+from latticemc.photostats import photocount_distribution, poisson_mixture
+from latticemc.states import (ZDistribution, mott_distribution,
+                              superfluid_atom_number, superfluid_difference)
 from latticemc.trajectory import (ClassificationError, NumericalAbort,
                                   TrajectoryState, _basin_bounds, _may_stop,
-                                  _stop_rows, classify_outcome,
-                                  closed_form_distribution,
-                                  conditional_photon_number, detect_peaks,
-                                  exact_distribution, fwhm_of_peak, jump,
-                                  mandel_q, no_count_step,
-                                  peak_collapse_width, predicted_widths,
-                                  run_trajectory, width)
+                                  _peak_widths, _peaks, _stop_rows,
+                                  classify_outcome, closed_form_distribution,
+                                  exact_distribution, jump, no_count_step,
+                                  predicted_widths, run_trajectory)
+from reference import fwhm_of_peak, gaussian_approximation
 
 SPEC = LatticeSpec(100, 100, 50)
 
@@ -146,26 +144,32 @@ def test_underflow_aborts():
 # ------------------------------------------------------------- observables
 
 
-def test_conditional_photon_number():
-    st = two_point_state([1.0, 3.0], [0.5, 0.5])
-    assert conditional_photon_number(st) == pytest.approx(2.0)
-
-
 def test_mandel_q_values():
-    assert mandel_q(two_point_state([0.0, 2.0], [0.0, 1.0])) == 0.0
+    """The photon number of a p(z) mixture of coherent components has
+    Mandel Q = Var_z(|alpha_z|^2) / <|alpha_z|^2>."""
+    def q(lam, p):
+        return poisson_mixture(np.asarray(lam), np.asarray(p)).mandel_q
+
+    assert q([0.0, 2.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-9)
     # intensities 0 and 2 with equal weight: var 1, mean 1
-    assert mandel_q(two_point_state([0.0, 2.0], [0.5, 0.5])) == pytest.approx(1.0)
+    assert q([0.0, 2.0], [0.5, 0.5]) == pytest.approx(1.0, abs=1e-9)
     rng = np.random.default_rng(4)
     for _ in range(50):
         lam = rng.uniform(0, 5, size=6)
         p = rng.dirichlet(np.ones(6))
-        assert mandel_q(two_point_state(lam, p)) >= -1e-12
+        mean = lam @ p
+        assert q(lam, p) == pytest.approx((lam**2 @ p - mean**2) / mean,
+                                          abs=1e-8)
 
 
 def test_width_examples():
-    st = make_state(superfluid_atom_number(SPEC), max_model())
-    assert width(st) == pytest.approx(5.0, abs=1e-9)
-    assert width(two_point_state([1, 1], [1.0, 0.0])) == 0.0
+    assert superfluid_atom_number(SPEC).std == pytest.approx(5.0, abs=1e-9)
+    assert two_point_state([1, 1], [1.0, 0.0]).dist.std == 0.0
+
+
+def detect_peaks(dist, threshold=1e-3):
+    """The peaks of one distribution, as `classify_outcome` finds them."""
+    return _peaks(dist.probabilities[None], threshold)[1].tolist()
 
 
 def test_detect_peaks_and_fwhm():
@@ -248,18 +252,23 @@ def test_basin_bounds_match_reference_walk():
         first, last = _basin_bounds(p, starts)
         for k in starts:
             assert (first[k], last[k]) == _basin_reference(p, k)
-            if p[k] > 0:  # the same sums, so bit-identical widths
-                assert peak_collapse_width(d, k) == \
-                    _peak_collapse_width_reference(z, p, k)
+        with np.errstate(invalid="ignore"):  # empty basins at threshold 0
+            _, peaks, fwhm = _peak_widths(p[None], z, 0.0)
+        for k, width in zip(peaks, fwhm):
+            if p[k] > 0:  # masked sums against the slice's, to rounding
+                assert width == pytest.approx(
+                    _peak_collapse_width_reference(z, p, k),
+                    rel=1e-12, abs=1e-12)
 
 
 def _all_peaks_narrow_reference(dist, stop_fwhm, threshold):
     """The per-distribution stop check, as the per-stride sampler ran it."""
     if stop_fwhm <= 0:
         return False
-    peaks = detect_peaks(dist, threshold)
-    return bool(peaks) and all(peak_collapse_width(dist, i) < stop_fwhm
-                               for i in peaks)
+    z, p = dist.z_values.astype(float), dist.probabilities
+    peaks = _detect_peaks_reference(p, threshold)
+    return bool(peaks) and all(
+        _peak_collapse_width_reference(z, p, i) < stop_fwhm for i in peaks)
 
 
 def _assert_stop_rows_match(dists, stop_fwhms, thresholds):
@@ -707,10 +716,13 @@ def test_run_trajectories_across_member_chunks():
 
 def test_peak_collapse_width_point_mass_vanishes():
     d = mott_distribution(LatticeSpec(10, 10, 5), Scenario.MAXIMUM)
-    assert peak_collapse_width(d, 5) == 0.0
+    _, peaks, fwhm = _peak_widths(d.probabilities[None], d.z_values, 1e-3)
+    assert peaks.tolist() == [5] and fwhm.tolist() == [0.0]
     d2 = gaussian_approximation(50.0, 4.0, np.arange(101))
-    assert peak_collapse_width(d2, 50) == pytest.approx(
-        4.0 * 2 * np.sqrt(2 * np.log(2)), rel=0.02)
+    _, peaks, fwhm = _peak_widths(d2.probabilities[None], d2.z_values, 1e-3)
+    assert peaks.tolist() == [50]
+    assert fwhm[0] == pytest.approx(4.0 * 2 * np.sqrt(2 * np.log(2)),
+                                    rel=0.02)
 
 
 def test_predicted_widths_values():
@@ -892,6 +904,20 @@ def test_classify_rejects_multi_peak_state():
         classify_outcome(st, model)
 
 
+def test_classify_reads_only_dist_m_t_and_tau():
+    """Finished records classify again from a namespace holding only the
+    final state's dist, m, t and tau, as the benchmark's output check
+    builds it."""
+    for preset in ("fig2", "fig3", "fig5"):
+        p0, model, kwargs = _config_runs(parse_config(load_preset(preset)))
+        for rec in trajectory.run_trajectories(
+                p0, model, ([21, i] for i in range(6)), **kwargs):
+            st = rec.final_state
+            state = types.SimpleNamespace(dist=st.dist, m=st.m, t=st.t,
+                                          tau=st.tau)
+            assert classify_outcome(state, model) == rec.outcome
+
+
 # ------------------------------------------------------------ full runs
 
 
@@ -944,9 +970,10 @@ def test_run_trajectory_stop_rule_halts_early():
     rec = run_trajectory(p0, model, seed=5, max_tau=30.0, stop_fwhm=0.5,
                          sample_interval_tau=0.1)
     assert rec.final_state.tau < 30.0 - 1e-9
-    peaks = detect_peaks(rec.final_state.dist)
-    assert all(peak_collapse_width(rec.final_state.dist, i) < 0.5
-               for i in peaks)
+    dist = rec.final_state.dist
+    _, peaks, fwhm = _peak_widths(dist.probabilities[None], dist.z_values,
+                                  1e-3)
+    assert peaks.size and (fwhm < 0.5).all()
 
 
 def test_run_trajectory_snapshots():
