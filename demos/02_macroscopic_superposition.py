@@ -10,8 +10,8 @@ components dressed by different light phases.
 
 import numpy as np
 
-from latticemc import (LatticeSpec, ProbeModel, Scenario, run_trajectory,
-                       superfluid_atom_number)
+from latticemc import (LatticeSpec, ProbeModel, Scenario, amplitude_table,
+                       run_trajectory, superfluid_atom_number)
 
 spec = LatticeSpec(n_atoms=100, n_sites=100, n_illuminated=50)
 p0 = superfluid_atom_number(spec)
@@ -42,7 +42,8 @@ if out.kind == "doublet":
           f"{out.delta_z_predicted:.3f}")
     print(f"  light phase difference 2*phi = {2 * out.phase_phi:.4f} rad")
     c2 = abs(model.c_constant) ** 2
-    photons = final.amplitudes.intensity @ final.dist.probabilities / c2
+    lam = amplitude_table(model, p0.z_values).intensity
+    photons = lam @ final.dist.probabilities / c2
     print(f"  reduced cavity photon number {photons:.6f} "
           f"(Lorentzian value {1 / (1 + out.delta_z**2):.6f})")
 print()

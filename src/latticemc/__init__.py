@@ -11,7 +11,7 @@ photon loss.
 from .geometry import (LatticeSpec, ModeFunction, Scenario, ScenarioGeometry,
                        coupling_coefficient, mode_value, scenario_geometry)
 from .optics import (AmplitudeTable, ProbeModel, amplitude_table, cat_phase,
-                     prefactor_exponent, steady_amplitude, transient_amplitude)
+                     steady_amplitude, transient_amplitude)
 from .oracle import (JointState, apply_jump, compare_with_exact,
                      evolve_nonhermitian, mott_joint_state, run_script,
                      superfluid_joint_state, z_marginal)
@@ -19,9 +19,8 @@ from .photostats import PhotonDistribution, photocount_distribution
 from .purity import CatMixture, density_matrix, purity, purity_sweep
 from .states import (ZDistribution, load_distribution, mott_distribution,
                      superfluid_atom_number, superfluid_difference)
-from .trajectory import (OutcomeReport, RunRecord, TrajectoryState,
-                         classify_outcome, closed_form_distribution,
-                         exact_distribution, jump, no_count_step,
+from .trajectory import (OutcomeReport, RunRecord, classify_outcome,
+                         closed_form_distribution, exact_distribution,
                          predicted_widths, run_trajectories, run_trajectory)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

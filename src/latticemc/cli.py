@@ -222,9 +222,9 @@ def _write_columns(path: Path, header: list[str], columns):
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
-def write_record(record: RunRecord, out_dir: Path, stem: str = "trajectory"):
+def write_record(record: RunRecord, out_dir: Path, config: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_columns(out_dir / f"{stem}.csv", list(Sample._fields),
+    _write_columns(out_dir / "trajectory.csv", list(Sample._fields),
                    list(zip(*record.samples)))
     outcome = record.outcome
     payload = {
@@ -239,13 +239,13 @@ def write_record(record: RunRecord, out_dir: Path, stem: str = "trajectory"):
         "m": record.final_state.m,
         "tau": record.final_state.tau,
         "seed": record.seed,
-        "config": record.config,
+        "config": config,
     }
-    with open(out_dir / f"{stem}_outcome.json", "w") as fh:
+    with open(out_dir / "trajectory_outcome.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for tau, dist in sorted(record.snapshots.items()):
-        _write_columns(out_dir / f"{stem}_snapshot_tau{tau:g}.csv",
+        _write_columns(out_dir / f"trajectory_snapshot_tau{tau:g}.csv",
                        ["z", "probability"],
                        [dist.z_values, dist.probabilities])
 
@@ -256,8 +256,8 @@ def cmd_trajectory(cfg: RunConfig, out_dir: Path, seed: int | None = None) -> in
         initial_distribution(cfg), probe_model(cfg), seed=[seed],
         max_tau=cfg.max_tau, stop_fwhm=cfg.stop_fwhm,
         sample_interval_tau=cfg.sample_interval_tau,
-        snapshot_taus=cfg.snapshots, config=cfg.as_dict())
-    write_record(record, out_dir)
+        snapshot_taus=cfg.snapshots)
+    write_record(record, out_dir, cfg.as_dict())
     return EXIT_OK
 
 

@@ -93,16 +93,6 @@ class AmplitudeTable:
         lam.flags.writeable = False
         return lam
 
-    @cached_property
-    def log_intensity(self) -> np.ndarray:
-        """log |alpha_z|^2 on the grid, -inf where alpha_z = 0 (read-only)."""
-        lam = self.intensity
-        with np.errstate(divide="ignore"):
-            log_lam = np.where(lam > 0, np.log(np.where(lam > 0, lam, 1.0)),
-                               -np.inf)
-        log_lam.flags.writeable = False
-        return log_lam
-
 
 def steady_amplitude(model: ProbeModel, z) -> complex | np.ndarray:
     """Steady-state amplitude alpha_z.
@@ -150,18 +140,6 @@ def transient_amplitude(model: ProbeModel, z, t: float) -> complex:
 def _drive_term(model: ProbeModel, z, alpha) -> complex:
     """eta alpha* - i u10 a0 z alpha*  (the drive part of the exponent rate)."""
     return (model.eta - 1j * model.u10 * model.a0 * z) * np.conj(alpha)
-
-
-def prefactor_exponent(model: ProbeModel, z, t: float) -> complex:
-    """Steady-regime no-count exponent Phi_z(t).
-
-    Re Phi = -|alpha_z|^2 kappa t damps the weight of z; Im Phi accumulates
-    the deterministic phase of that component.
-    """
-    alpha = steady_amplitude(model, z)
-    re = -np.abs(alpha) ** 2 * model.kappa * t
-    im = np.imag(_drive_term(model, z, alpha)) * t
-    return re + 1j * im
 
 
 def prefactor_exponent_exact(model: ProbeModel, z, t: float

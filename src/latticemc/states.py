@@ -10,7 +10,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .geometry import (LatticeSpec, Scenario, coupling_coefficient,
                        scenario_geometry)
@@ -65,16 +65,23 @@ def _normalized(weights: np.ndarray) -> np.ndarray:
     return weights / total
 
 
+def _binomial(n: int, r: float) -> np.ndarray:
+    """Binomial(n, r) weights on 0..n from the terms of scipy's
+    `binom.logpmf`, in its order, so they match it bit for bit."""
+    k = np.arange(n + 1, dtype=float)
+    return np.exp(gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
+                  + xlogy(k, r) + xlog1py(n - k, -r))
+
+
 def superfluid_atom_number(spec: LatticeSpec) -> ZDistribution:
     """Binomial distribution of the atom number at K illuminated sites.
 
     p(z) = C(N, z) (K/M)^z (1 - K/M)^(N - z), z = 0..N.  Computed in log
     space so it stays finite at large N.
     """
-    n, ratio = spec.n_atoms, spec.n_illuminated / spec.n_sites
-    z = np.arange(n + 1)
-    p = np.exp(binom.logpmf(z, n, ratio))
-    return ZDistribution(z, _normalized(p))
+    n = spec.n_atoms
+    p = _binomial(n, spec.n_illuminated / spec.n_sites)
+    return ZDistribution(np.arange(n + 1), _normalized(p))
 
 
 def superfluid_difference(spec: LatticeSpec) -> ZDistribution:
@@ -89,9 +96,7 @@ def superfluid_difference(spec: LatticeSpec) -> ZDistribution:
     if spec.n_sites % 2 != 0:
         raise ValueError("difference distribution requires even M")
     n = spec.n_atoms
-    z_tilde = np.arange(n + 1)
-    p = np.exp(binom.logpmf(z_tilde, n, 0.5))
-    return ZDistribution(2 * z_tilde - n, _normalized(p))
+    return ZDistribution(2 * np.arange(n + 1) - n, _normalized(_binomial(n, 0.5)))
 
 
 def mott_distribution(spec: LatticeSpec, scenario: Scenario) -> ZDistribution:

@@ -2,24 +2,25 @@
 
 Between photodetections each z component is damped by exp(-2|alpha_z|^2
 kappa dt); a detection multiplies the distribution by |alpha_z|^2.  Both
-updates are diagonal in z, so a trajectory is its photocount record and
-its state is the closed-form posterior p0(z) |alpha_z|^(2m) e^(-2 kappa
+updates are diagonal in z, so a trajectory is its photocount record (m, t)
+and its state is the closed-form posterior p0(z) |alpha_z|^(2m) e^(-2 kappa
 |alpha_z|^2 t).  The sampler therefore draws a latent z* ~ p0 once and each
 stride's count at the rate 2 kappa |alpha_z*|^2: by Bayes' chain rule, the
 law of drawing each count from the current posterior's Poisson mixture
-(Wiseman & Milburn, Quantum Measurement and Control, 2010).  A run records
-its counts m at the grid times t; observables are computed from them when
-read.  An ensemble's members share one stop loop over blocks of strides:
-each block's log weights for every member still running come from one
-[1, m, t] product, and an exact necessary condition on them, which allows
-for the product's rounding, passes to the stop check only the few strides
-where it can fire.  A single run is the ensemble of one.
+(Wiseman & Milburn, Quantum Measurement and Control, 2010).  A run's
+record is its counts m at the grid times t, with p0 and the model; its final
+posterior is classified when it stops, other observables when read.  An
+ensemble's members share one stop loop over blocks of strides: each block's
+log weights for every member still running come from one [1, m, t] product,
+and an exact necessary condition on them, which allows for the product's
+rounding, passes to the stop check only the few strides where it can fire.
+A single run is the ensemble of one.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple
@@ -54,22 +55,6 @@ class ClassificationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrajectoryState:
-    """Conditional distribution plus detection bookkeeping."""
-
-    dist: ZDistribution
-    amplitudes: AmplitudeTable
-    kappa: float
-    m: int = 0
-    t: float = 0.0
-
-    @property
-    def tau(self) -> float:
-        """Dimensionless time 2|C|^2 kappa t."""
-        return 2.0 * abs(self.amplitudes.c_constant) ** 2 * self.kappa * self.t
-
-
-@dataclass(frozen=True)
 class OutcomeReport:
     kind: str  # "singlet" | "doublet"
     z1: int
@@ -79,6 +64,15 @@ class OutcomeReport:
     phase_big_phi: float = 0.0
     component_weights: tuple[float, float] = (1.0, 0.0)
     delta_z_predicted: float | None = None
+
+
+class FinalState(NamedTuple):
+    """The posterior where a run stopped, its count m, time t and tau."""
+
+    dist: ZDistribution
+    m: int
+    t: float
+    tau: float
 
 
 class Sample(NamedTuple):
@@ -98,16 +92,17 @@ class RunRecord:
     m: np.ndarray  # counts at strides 0..stop
     t: np.ndarray  # times of every stride of the recording grid
     p0: ZDistribution
-    final_state: TrajectoryState
+    model: ProbeModel
+    final_state: FinalState
     outcome: OutcomeReport
     snapshot_strides: dict  # snapshot tau -> its stride, up to the stop
     seed: object
-    config: dict
 
     @cached_property
     def samples(self) -> list[Sample]:
         """Per-stride observables of the posterior, strides 0..stop."""
-        table, kappa = self.final_state.amplitudes, self.final_state.kappa
+        table = amplitude_table(self.model, self.p0.z_values)
+        kappa = self.model.kappa
         c2, n, b = abs(table.c_constant) ** 2, len(self.m), _BLOCK_STRIDES
         z, lam = self.p0.z_values.astype(float), table.intensity
         moments = np.array([z, z * z, lam, lam * lam]).T
@@ -129,8 +124,8 @@ class RunRecord:
     @cached_property
     def snapshots(self) -> dict:
         """Snapshot tau -> the posterior at its stride."""
-        st = self.final_state
-        return {s: closed_form_distribution(self.p0, st.amplitudes, st.kappa,
+        table = amplitude_table(self.model, self.p0.z_values)
+        return {s: closed_form_distribution(self.p0, table, self.model.kappa,
                                             int(self.m[k]), self.t[k])
                 for s, k in self.snapshot_strides.items()}
 
@@ -138,8 +133,8 @@ class RunRecord:
 def _reweighted(p: np.ndarray, log_factor: np.ndarray) -> np.ndarray:
     """p(z) exp(log_factor) renormalized in log space, per row of log_factor.
 
-    The one posterior kernel of the updates, the closed form and the
-    sampler's blocks of strides.
+    The one posterior kernel of the closed forms and the sampler's blocks
+    of strides.
     """
     logw = np.log(p, out=np.full(p.shape, -np.inf), where=p > 0) + log_factor
     peak = logw.max(axis=-1, keepdims=True)
@@ -158,28 +153,6 @@ def _log_factor(table: AmplitudeTable, kappa: float, m: np.ndarray,
     if dark.any():  # no z is dark in transmission
         log_factor[np.ix_(m > 0, dark)] = -np.inf
     return log_factor
-
-
-def no_count_step(state: TrajectoryState, dt: float) -> TrajectoryState:
-    """No-detection evolution over dt: p(z) *= exp(-2|alpha_z|^2 kappa dt).
-
-    The multiplicative update is exact for any dt > 0.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    p = _reweighted(state.dist.probabilities,
-                    -2.0 * state.kappa * state.amplitudes.intensity * dt)
-    return replace(state, dist=state.dist.with_probabilities(p),
-                   t=state.t + dt)
-
-
-def jump(state: TrajectoryState) -> TrajectoryState:
-    """Photodetection update: p(z) *= |alpha_z|^2, m -> m + 1."""
-    lam = state.amplitudes.intensity
-    if np.dot(lam, state.dist.probabilities) <= 0:
-        raise RuntimeError("jump on a dark state: all support has alpha_z = 0")
-    p = _reweighted(state.dist.probabilities, state.amplitudes.log_intensity)
-    return replace(state, dist=state.dist.with_probabilities(p), m=state.m + 1)
 
 
 def predicted_widths(scenario: Scenario, m: int, tau: float,
@@ -246,7 +219,7 @@ def exact_distribution(p0: ZDistribution, model: ProbeModel,
     return p0.with_probabilities(_reweighted(p0.probabilities, log_factor))
 
 
-def classify_outcome(state: TrajectoryState, model: ProbeModel,
+def classify_outcome(state: FinalState, model: ProbeModel,
                      threshold: float = PEAK_WEIGHT_THRESHOLD) -> OutcomeReport:
     """Classify the final conditional state as a singlet or doublet."""
     dist = state.dist
@@ -554,7 +527,7 @@ def _recording_grid(max_tau: float, sample_interval_tau: float | None,
 def run_trajectories(p0: ZDistribution, model: ProbeModel, seeds, *,
                      max_tau: float, stop_fwhm: float = 0.5,
                      sample_interval_tau: float | None = None,
-                     snapshot_taus=(), config: dict | None = None,
+                     snapshot_taus=(),
                      peak_threshold: float = PEAK_WEIGHT_THRESHOLD
                      ) -> Iterator[RunRecord]:
     """Simulate one quantum trajectory per seed; yield their records in order.
@@ -581,15 +554,15 @@ def run_trajectories(p0: ZDistribution, model: ProbeModel, seeds, *,
                             peak_threshold)
         for seed, counts, k in zip(chunk, m, last.tolist()):
             m_end, t_end = int(counts[k]), float(t[k])
-            final_state = TrajectoryState(
-                dist=closed_form_distribution(p0, table, model.kappa, m_end,
-                                              t_end),
-                amplitudes=table, kappa=model.kappa, m=m_end, t=t_end)
+            final_state = FinalState(
+                closed_form_distribution(p0, table, model.kappa, m_end, t_end),
+                m_end, t_end, 2.0 * c2 * model.kappa * t_end)
             yield RunRecord(
-                m=counts[:k + 1].copy(), t=t, p0=p0, final_state=final_state,
+                m=counts[:k + 1].copy(), t=t, p0=p0, model=model,
+                final_state=final_state,
                 outcome=classify_outcome(final_state, model, peak_threshold),
                 snapshot_strides={s: j for s, j in snap_strides if j <= k},
-                seed=seed, config=dict(config or {}))
+                seed=seed)
 
 
 def run_trajectory(p0: ZDistribution, model: ProbeModel, *, seed,

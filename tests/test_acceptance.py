@@ -19,10 +19,9 @@ from latticemc.oracle import compare_with_exact
 from latticemc.photostats import photocount_distribution
 from latticemc.purity import CatMixture, density_matrix, purity, purity_sweep
 from latticemc.states import superfluid_atom_number, superfluid_difference
-from latticemc.trajectory import (PEAK_WEIGHT_THRESHOLD, TrajectoryState,
-                                  _peaks, jump, no_count_step,
+from latticemc.trajectory import (PEAK_WEIGHT_THRESHOLD, _peaks,
                                   predicted_widths, run_trajectory)
-from reference import fwhm_of_peak
+from reference import TrajectoryState, fwhm_of_peak, jump, no_count_step
 
 SPEC = LatticeSpec(100, 100, 50)
 P0 = superfluid_atom_number(SPEC)
@@ -128,7 +127,8 @@ def test_criterion_2_closed_form(capsys):
             rec = run_trajectory(p0, model, seed=[21, k, i], max_tau=max_tau,
                                  stop_fwhm=0.0)
             final = rec.final_state
-            st = TrajectoryState(dist=p0, amplitudes=final.amplitudes,
+            st = TrajectoryState(dist=p0,
+                                 amplitudes=amplitude_table(model, p0.z_values),
                                  kappa=model.kappa)
             for before, after in zip(rec.samples, rec.samples[1:]):
                 for _ in range(after.m - before.m):
@@ -146,6 +146,7 @@ def test_criterion_3_maximum_collapse(capsys):
     t0 = time.time()
     records = maximum_ensemble()
     c2 = abs(MAX_MODEL.c_constant) ** 2
+    table = amplitude_table(MAX_MODEL, P0.z_values)
     worst_z = worst_ph = 0.0
     z1s = []
     for rec in records:
@@ -155,7 +156,7 @@ def test_criterion_3_maximum_collapse(capsys):
         z1s.append(z1)
         worst_z = max(worst_z, abs(z1 - np.sqrt(st.m / st.tau)))
         worst_ph = max(worst_ph,
-                       abs(st.amplitudes.intensity @ st.dist.probabilities
+                       abs(table.intensity @ st.dist.probabilities
                            - c2 * z1**2))
     obs = np.bincount(z1s, minlength=len(P0.z_values)).astype(float)
     pval = pooled_chisquare_p(obs, P0.probabilities * len(z1s))
@@ -218,6 +219,7 @@ def test_criterion_6_wing_doublet(capsys):
     model = ProbeModel(Scenario.TRANSMISSION, kappa=1.0, u11=1.0,
                        eta=1.0, delta_p=60.0)
     c2 = abs(model.c_constant) ** 2
+    table = amplitude_table(model, p0.z_values)
     logp0 = np.full(len(p0.z_values), -np.inf)
     mask = p0.probabilities > 0
     logp0[mask] = np.log(p0.probabilities[mask])
@@ -238,7 +240,7 @@ def test_criterion_6_wing_doublet(capsys):
         if (o.z1, o.z2) == (67, 53):
             seven = w1 / w2
         st = rec.final_state
-        ph = st.amplitudes.intensity @ st.dist.probabilities / c2
+        ph = table.intensity @ st.dist.probabilities / c2
         worst_ph = max(worst_ph, abs(ph - 1.0 / (1.0 + o.delta_z**2)))
     ratio_devs = np.array(ratio_devs)
     sem = ratio_devs.std(ddof=1) / np.sqrt(len(ratio_devs))

@@ -216,6 +216,58 @@ def test_fig4_ensemble_aborts_at_its_first_unclassifiable_member(tmp_path,
         assert not any(out.iterdir())
 
 
+# passes p < 1000 at which the benchmark's fig4 ensemble, seed 3 + 1000 p,
+# n_traj 20, has no ambiguous member
+FIG4_PASSES = (272, 351, 527, 603, 669, 788, 895, 906, 910)
+
+
+@pytest.mark.slow
+def test_fig4_ensemble_passes_only_at_its_pinned_indices():
+    """A tripwire on the `presets` benchmark workload, whose one failing
+    operation is fig4's exit 4.  Over P passes its failed share is
+    1/4 - s(P)/(4P), s(P) the pinned indices below P: it moves with the
+    pass count, and with any change to p0's bits or the random stream."""
+    cfg = parse_config(load_preset("fig4"))
+    p0, model = cli.initial_distribution(cfg), probe_model(cfg)
+    passes = []
+    for p in range(1000):
+        seed = cfg.seed + 1000 * p
+        try:
+            list(trajectory.run_trajectories(
+                p0, model, ([seed, i] for i in range(20)),
+                max_tau=cfg.max_tau, stop_fwhm=cfg.stop_fwhm,
+                sample_interval_tau=cfg.sample_interval_tau,
+                snapshot_taus=cfg.snapshots))
+        except trajectory.ClassificationError:
+            continue
+        passes.append(p)
+    assert tuple(passes) == FIG4_PASSES
+
+
+def test_trajectory_aborts_on_an_ambiguous_member(tmp_path, capsys):
+    """A fig4 `trajectory` run whose one member is ambiguous exits 4 with
+    that member's error and writes no file."""
+    cfg = parse_config(load_preset("fig4"))
+    p0, model = cli.initial_distribution(cfg), probe_model(cfg)
+    for seed in range(100):
+        try:
+            run_trajectory(p0, model, seed=[seed], max_tau=cfg.max_tau,
+                           stop_fwhm=cfg.stop_fwhm,
+                           sample_interval_tau=cfg.sample_interval_tau,
+                           snapshot_taus=cfg.snapshots)
+        except trajectory.ClassificationError as exc:
+            error = exc
+            break
+    else:
+        raise AssertionError("no fig4 member fails at seeds 0-99")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["trajectory", "--preset", "fig4", "--seed", str(seed),
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"classification ambiguity: {error}\n"
+    assert not any(out.iterdir())
+
+
 def test_ensemble_computes_no_observables(tmp_path, monkeypatch):
     """An ensemble reads only each member's counts, stop and outcome."""
     def refuse(self):

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+import latticemc
 from latticemc.geometry import LatticeSpec, Scenario
-from latticemc.states import (ZDistribution, load_distribution,
+from latticemc.states import (ZDistribution, _binomial, load_distribution,
                               mott_distribution, superfluid_atom_number,
                               superfluid_difference)
 from reference import gaussian_approximation
@@ -37,6 +43,32 @@ def test_superfluid_atom_number_matches_direct_binomial():
         d = superfluid_atom_number(LatticeSpec(n, m, k))
         direct = binom.pmf(np.arange(n + 1), n, k / m)
         np.testing.assert_allclose(d.probabilities, direct, atol=1e-12)
+
+
+def test_binomial_is_scipy_logpmf_bit_for_bit():
+    """p0's bits set the random stream of every run: the helper must equal
+    exp(binom.logpmf) exactly, N = 1-129, 200, 500, 1000 and K/M in
+    {1/M, floor(M/3)/M, floor(M/2)/M, 1}."""
+    cases = 0
+    for n in [*range(1, 130), 200, 500, 1000]:
+        for m in (1, 2, 3, 4, 5, 7, 10, 64, 100, 128):
+            for k in {1, m // 3, m // 2, m} - {0}:
+                want = np.exp(binom.logpmf(np.arange(n + 1), n, k / m))
+                assert _binomial(n, k / m).tobytes() == want.tobytes()
+                cases += 1
+    assert cases == 4092
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """A fresh `import latticemc` does not load scipy.stats, most of its
+    import time."""
+    src = str(Path(latticemc.__file__).resolve().parents[1])
+    code = ("import sys, latticemc; "
+            "print(latticemc.__file__, 'scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert out[0].startswith(src) and out[1] == "False"
 
 
 def test_superfluid_difference_moments():

@@ -17,7 +17,11 @@ faster side needs the shorter run); --pairs 0 runs the traced pair alone.
 The output file holds the environment, the seeds, every pair's end-to-end
 metrics, failures and output checks, per metric the medians and quartiles
 of each side and the number of pairs the change wins, and per side the
-operations attempted and failed over all pairs.  A warning is printed when
+operations attempted and failed over all pairs.  Each run also records its
+failures by operation label and, per label that failed, the passes where it
+succeeded, and each pair prints them: a failed-share gap that comes from
+which passes an operation happens to succeed at (fig4 on `presets`) reads
+apart from a new failure.  A warning is printed when
 the change fails a larger share of its operations than the base, or either
 side writes incorrect outputs.  Runs on
 another workload or seed are merged into the same file under their own
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+from collections import Counter
 import subprocess
 import sys
 import tarfile
@@ -67,7 +72,20 @@ def run_bench(tree: Path, args, trace: int, seconds: float) -> dict:
     with open(path) as fh:
         saved = json.load(fh)
     result["passes"] = saved["passes"]
+    ops = [r for r in saved["operations"] if r["traced"] == bool(trace)]
+    failed = Counter(r["op"] for r in ops if not r["ok"])
+    result["failed_ops"] = dict(sorted(failed.items()))
+    result["ok_passes"] = {label: [r["pass"] for r in ops
+                                   if r["op"] == label and r["ok"]]
+                           for label in result["failed_ops"]}
     return result, saved["environment"]
+
+
+def describe(run: dict) -> str:
+    """Passes, and per failing label its failures and its passing passes."""
+    return f"{run['passes']} passes" + "".join(
+        f", {label} failed {n}x (ok at passes {run['ok_passes'][label]})"
+        for label, n in run["failed_ops"].items())
 
 
 def spread(values: list[float]) -> dict:
@@ -97,8 +115,11 @@ def failures(pairs: list[dict]) -> dict:
     for side in ("base", "change"):
         attempted = sum(p[side]["attempted"] for p in pairs)
         failed = sum(p[side]["failed"] for p in pairs)
+        by_label = sum((Counter(p[side]["failed_ops"]) for p in pairs),
+                       Counter())
         out[side] = {"attempted": attempted, "failed": failed,
                      "failed_share": failed / attempted if attempted else 0.0,
+                     "failed_ops": dict(sorted(by_label.items())),
                      "correct": all(p[side]["correct"] for p in pairs)}
     return out
 
@@ -137,6 +158,8 @@ def main(argv=None) -> int:
                 for name in better) + ", failed " + " -> ".join(
                 f"{pair[side]['failed']}/{pair[side]['attempted']}"
                 for side in ("base", "change")), flush=True)
+            for side in ("base", "change"):
+                print(f"  {side}: {describe(pair[side])}", flush=True)
         for side, seconds in zip(("base", "change"),
                                  args.trace_seconds or ()):
             traced[side], env = run_bench(trees[side], args, 1, seconds)
@@ -168,6 +191,8 @@ def main(argv=None) -> int:
         print("failed share  " + " -> ".join(
             f"{f['failed']}/{f['attempted']} ({f['failed_share']:.4f})"
             for f in (base, change)))
+        print("failed by op  " + " -> ".join(
+            json.dumps(f["failed_ops"]) for f in (base, change)))
         if change["failed_share"] > base["failed_share"]:
             print("WARNING: the change fails a larger share of operations "
                   "than the base")
