@@ -257,7 +257,7 @@ def cmd_trajectory(cfg: RunConfig, out_dir: Path, seed: int | None = None) -> in
         max_tau=cfg.max_tau, stop_fwhm=cfg.stop_fwhm,
         sample_interval_tau=cfg.sample_interval_tau,
         snapshot_taus=cfg.snapshots)
-    write_record(record, out_dir, cfg.as_dict())
+    write_record(record, out_dir, replace(cfg, seed=seed).as_dict())
     return EXIT_OK
 
 
@@ -288,7 +288,8 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
 
     with open(out_dir / "ensemble_summary.json", "w") as fh:
         json.dump({"n_traj": n_traj, "outcomes": counts,
-                   "seed": seed, "config": cfg.as_dict()},
+                   "seed": seed,
+                   "config": replace(cfg, seed=seed, n_traj=n_traj).as_dict()},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_columns(out_dir / "ensemble_outcomes.csv",
@@ -310,11 +311,17 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
 
 
 def _m_histogram(samples: list[int], closed: np.ndarray):
-    """Columns m, empirical and closed-form probability on a common m grid."""
+    """Columns m, empirical and closed-form probability on a common m grid.
+
+    The empirical column takes at most len(samples) + 1 values, k / n: each
+    is formatted once and its text indexed by the counts."""
+    n = len(samples)
     hist = np.bincount(samples, minlength=len(closed))
     theory = np.zeros(len(hist))
     theory[:len(closed)] = closed
-    return [np.arange(len(hist)), hist / len(samples), theory]
+    empirical = np.array(["%.17g" % (k / n) for k in range(n + 1)],
+                         dtype=object)[hist]
+    return [np.arange(len(hist)), empirical, theory]
 
 
 def cmd_purity_sweep(cfg: RunConfig, out_dir: Path) -> int:
@@ -400,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     """The config with `--snapshots` applied, its fields checked with it and
-    with the `--seed` and `--n-traj` the command gets apart: outputs echo
-    the file's config."""
+    with the `--seed` and `--n-traj` the command gets apart; each command
+    echoes the config it ran, flags applied."""
     cfg = parse_config(load_preset(args.preset) if args.preset
                        else args.config.read_text())
     snapshots = getattr(args, "snapshots", None)

@@ -73,7 +73,6 @@ class AmplitudeTable:
     z_values: np.ndarray
     alpha: np.ndarray
     c_constant: complex
-    z_p: float | None = None
 
     def __post_init__(self):
         z = np.array(self.z_values, dtype=int)
@@ -116,8 +115,7 @@ def amplitude_table(model: ProbeModel, z_grid) -> AmplitudeTable:
 @lru_cache(maxsize=32)
 def _amplitude_table(model: ProbeModel, z_bytes: bytes) -> AmplitudeTable:
     z = np.frombuffer(z_bytes, dtype=int)
-    z_p = model.z_p if model.scenario is Scenario.TRANSMISSION else None
-    return AmplitudeTable(z, steady_amplitude(model, z), model.c_constant, z_p)
+    return AmplitudeTable(z, steady_amplitude(model, z), model.c_constant)
 
 
 def _decay_exponent(model: ProbeModel, z: float) -> complex:

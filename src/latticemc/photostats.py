@@ -57,6 +57,9 @@ def poisson_mixture(rates: np.ndarray, weights: np.ndarray
     Poisson terms use log factorials; each z adds them only over rate +-
     (40 sqrt(rate) + 40), beyond which they underflow.  The truncation point
     starts _START_SDS sds past the largest rate and doubles until it holds.
+    The terms are normalised over that whole range, and the support ends at
+    the first n where their running sum reaches its final value: the terms
+    past it do not change the sum in double precision.
     """
     rates = np.asarray(rates, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -83,7 +86,10 @@ def poisson_mixture(rates: np.ndarray, weights: np.ndarray
         if n_max >= highs.max(initial=0):  # no term is left to add
             raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
         n_max *= 2
-    return PhotonDistribution(n, p / p.sum())
+    p = p / p.sum()
+    running = np.cumsum(p)
+    stop = int(np.searchsorted(running, running[-1])) + 1
+    return PhotonDistribution(n[:stop], p[:stop])
 
 
 def photocount_distribution(p0: ZDistribution, amplitudes: AmplitudeTable,

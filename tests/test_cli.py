@@ -9,6 +9,8 @@ from latticemc import cli, trajectory
 from latticemc.cli import (ConfigError, PRESET_NAMES, RunConfig, load_preset,
                            main, parse_config, probe_model)
 from latticemc.geometry import Scenario
+from latticemc.optics import amplitude_table
+from latticemc.photostats import photocount_distribution
 from latticemc.trajectory import run_trajectory
 
 GOOD = """
@@ -147,6 +149,68 @@ def test_ensemble_command(tmp_path):
     hist = np.loadtxt(out / "m_hist_tau2.csv", delimiter=",", skiprows=1)
     assert hist[:, 1].sum() == pytest.approx(1.0, abs=1e-9)
     assert hist[:, 2].sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_m_hist_rows_end_with_the_photocount_support(tmp_path):
+    """With no sample past the support, an m_hist file has one row per point
+    of the photocount law, and its empirical column is count / n."""
+    cfg_path = write(tmp_path, MAXIMUM + "snapshots = 0,2,8\n")
+    out = tmp_path / "out"
+    n_traj = 5
+    assert main(["ensemble", "--config", str(cfg_path), "--out", str(out),
+                 "--n-traj", str(n_traj)]) == 0
+    cfg = parse_config(MAXIMUM)
+    p0, model = cli.initial_distribution(cfg), probe_model(cfg)
+    records = [run_trajectory(p0, model, seed=[cfg.seed, i],
+                              max_tau=cfg.max_tau, stop_fwhm=cfg.stop_fwhm,
+                              sample_interval_tau=cfg.sample_interval_tau,
+                              snapshot_taus=(0.0, 2.0, 8.0))
+               for i in range(n_traj)]
+    table = amplitude_table(model, p0.z_values)
+    c2 = abs(table.c_constant) ** 2
+    for tau in (0.0, 2.0, 8.0):
+        law = photocount_distribution(p0, table, model.kappa,
+                                      tau / (2.0 * c2 * model.kappa))
+        support = len(law.n_values)
+        samples = [int(r.m[r.snapshot_strides[tau]]) for r in records]
+        assert max(samples) < support
+        counts = np.bincount(samples, minlength=support)
+        lines = (out / f"m_hist_tau{tau:g}.csv").read_text().splitlines()
+        assert lines[0] == "m,empirical_probability,closed_form_probability"
+        assert lines[1:] == [
+            f"{m},{'%.17g' % (k / n_traj)},{'%.17g' % p}"
+            for m, (k, p) in enumerate(zip(counts, law.probabilities))]
+
+
+def config_text(config: dict) -> str:
+    """A config file holding an echoed `config` dict."""
+    return "".join(
+        f"{key} = "
+        f"{','.join(map(str, value)) if isinstance(value, list) else value}\n"
+        for key, value in config.items() if value is not None)
+
+
+def test_outputs_echo_the_config_that_ran(tmp_path):
+    """`--seed` and `--n-traj` reach the echoed config: run from it with no
+    flags, an ensemble writes the same bytes."""
+    first = tmp_path / "first"
+    assert main(["ensemble", "--preset", "fig2", "--n-traj", "3",
+                 "--seed", "11", "--out", str(first)]) == 0
+    config = json.loads((first / "ensemble_summary.json").read_text()
+                        )["config"]
+    assert (config["seed"], config["n_traj"]) == (11, 3)
+    cfg_path = write(tmp_path, config_text(config))
+    again = tmp_path / "again"
+    assert main(["ensemble", "--config", str(cfg_path),
+                 "--out", str(again)]) == 0
+    for name in ("ensemble_outcomes.csv", "ensemble_summary.json",
+                 "m_hist_tau14.6.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+    traj = tmp_path / "trajectory"
+    assert main(["trajectory", "--preset", "fig2", "--seed", "5",
+                 "--out", str(traj)]) == 0
+    echoed = json.loads((traj / "trajectory_outcome.json").read_text())
+    assert echoed["config"]["seed"] == 5
 
 
 def test_ensemble_one_sample_per_trajectory_per_snapshot(tmp_path,

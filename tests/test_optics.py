@@ -68,7 +68,6 @@ def test_amplitude_table_matches_pointwise():
     for i, z in enumerate(table.z_values):
         assert table.alpha[i] == pytest.approx(steady_amplitude(model, z))
     np.testing.assert_allclose(table.intensity, np.abs(table.alpha) ** 2)
-    assert table.z_p == pytest.approx(5.0)
 
 
 def test_amplitude_table_cached_and_read_only():

@@ -77,6 +77,18 @@ def _dense_poisson_mixture(rates, weights, start_sds=10.0):
         n_max *= 2
 
 
+def _running_sum_cut(n, p):
+    """The prefix of (n, p) up to the first n at which the running sum of p
+    takes its final value, checked to be the shortest such prefix."""
+    running = np.cumsum(p)
+    keep = int(np.flatnonzero(running == running[-1])[0]) + 1
+    assert np.all(running[keep - 1:] == running[-1])  # the rest adds nothing
+    if keep > 1:
+        assert running[keep - 2] != running[-1]  # one row fewer changes it
+    assert p[keep:].sum() < 1e-10
+    return n[:keep], p[:keep]
+
+
 @pytest.mark.parametrize("rates, weights", [
     ([0.0, 3.0, 50.0, 400.0], [0.3, 0.0, 0.5, 0.2]),  # rate 0, a zero weight
     ([0.0, 1e-3, 0.7], [0.0, 0.5, 0.5]),
@@ -85,7 +97,7 @@ def _dense_poisson_mixture(rates, weights, start_sds=10.0):
 def test_poisson_mixture_matches_dense_reference(rates, weights):
     rates, weights = np.array(rates), np.array(weights)
     got = poisson_mixture(rates, weights)
-    n, p = _dense_poisson_mixture(rates, weights)
+    n, p = _running_sum_cut(*_dense_poisson_mixture(rates, weights))
     np.testing.assert_array_equal(got.n_values, n)
     assert np.abs(got.probabilities - p).max() <= 1e-15
 
@@ -96,8 +108,8 @@ def test_poisson_mixture_matches_dense_reference_on_a_collapse():
     table = amplitude_table(max_model(), p0.z_values)
     for tau in (0.5, 5.0, 30.0):
         got = photocount_distribution(p0, table, 1.0, tau / 2.0)
-        n, p = _dense_poisson_mixture(2.0 * table.intensity * tau / 2.0,
-                                      p0.probabilities)
+        n, p = _running_sum_cut(*_dense_poisson_mixture(
+            2.0 * table.intensity * tau / 2.0, p0.probabilities))
         np.testing.assert_array_equal(got.n_values, n)
         assert np.abs(got.probabilities - p).max() <= 1e-15
 
@@ -109,6 +121,8 @@ def test_poisson_mixture_doubling_matches_dense_reference(monkeypatch):
     got = poisson_mixture(rates, weights)
     n, p = _dense_poisson_mixture(rates, weights, start_sds=0.0)
     assert len(n) == 2 * 1020 + 1
+    n, p = _running_sum_cut(n, p)
+    assert len(n) == 1267  # past the 1021 points of the undoubled grid
     np.testing.assert_array_equal(got.n_values, n)
     assert np.abs(got.probabilities - p).max() <= 1e-15
 

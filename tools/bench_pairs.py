@@ -21,7 +21,10 @@ operations attempted and failed over all pairs.  Each run also records its
 failures by operation label and, per label that failed, the passes where it
 succeeded, and each pair prints them: a failed-share gap that comes from
 which passes an operation happens to succeed at (fig4 on `presets`) reads
-apart from a new failure.  A warning is printed when
+apart from a new failure.  Each run also records, per operation label, the
+median bytes its successful operations wrote: a deterministic work counter
+that machine drift does not move.  Each pair prints it, and the summary
+gives its median over the pairs per side.  A warning is printed when
 the change fails a larger share of its operations than the base, or either
 side writes incorrect outputs.  Runs on
 another workload or seed are merged into the same file under their own
@@ -78,14 +81,22 @@ def run_bench(tree: Path, args, trace: int, seconds: float) -> dict:
     result["ok_passes"] = {label: [r["pass"] for r in ops
                                    if r["op"] == label and r["ok"]]
                            for label in result["failed_ops"]}
+    written = {}
+    for r in ops:
+        if r["ok"]:
+            written.setdefault(r["op"], []).append(r["output_bytes"])
+    result["output_bytes"] = {label: statistics.median(sizes)
+                              for label, sizes in sorted(written.items())}
     return result, saved["environment"]
 
 
 def describe(run: dict) -> str:
-    """Passes, and per failing label its failures and its passing passes."""
+    """Passes, per failing label its failures and its passing passes, and
+    per label the median bytes written."""
     return f"{run['passes']} passes" + "".join(
         f", {label} failed {n}x (ok at passes {run['ok_passes'][label]})"
-        for label, n in run["failed_ops"].items())
+        for label, n in run["failed_ops"].items()) + ", bytes " + ", ".join(
+        f"{label} {size:.0f}" for label, size in run["output_bytes"].items())
 
 
 def spread(values: list[float]) -> dict:
@@ -106,6 +117,17 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
             "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "pairs": len(pairs)}
     return summary
+
+
+def output_bytes(pairs: list[dict]) -> dict:
+    """Per side and label: the median over the pairs of each run's median
+    bytes written by one successful operation."""
+    return {side: {label: statistics.median(
+                       p[side]["output_bytes"][label] for p in pairs
+                       if label in p[side]["output_bytes"])
+                   for label in sorted({label for p in pairs
+                                        for label in p[side]["output_bytes"]})}
+            for side in ("base", "change")}
 
 
 def failures(pairs: list[dict]) -> dict:
@@ -174,6 +196,7 @@ def main(argv=None) -> int:
     if pairs:
         entry.update(seconds=args.seconds, summary=summarise(pairs, better),
                      failures=failures(pairs),
+                     output_bytes=output_bytes(pairs),
                      quartiles="statistics.quantiles(n=4), exclusive method",
                      pairs=pairs)
     if traced:
@@ -186,6 +209,11 @@ def main(argv=None) -> int:
         print(f"{name:12s} median {s['base']['median']:.4g} -> "
               f"{s['change']['median']:.4g} ({s['median_ratio']:.3f}x), "
               f"change better in {s['wins']}/{s['pairs']} pairs")
+    written = entry.get("output_bytes", {"base": {}, "change": {}})
+    for label, size in written["base"].items():
+        after = written["change"].get(label, 0)
+        print(f"bytes {label:12s} {size:.0f} -> {after:.0f}"
+              + (f" ({after / size:.3f}x)" if size else ""))
     if "failures" in entry:
         base, change = entry["failures"]["base"], entry["failures"]["change"]
         print("failed share  " + " -> ".join(
