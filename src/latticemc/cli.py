@@ -287,8 +287,7 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
                 samples.append(int(record.m[k]))
 
     with open(out_dir / "ensemble_summary.json", "w") as fh:
-        json.dump({"n_traj": n_traj, "outcomes": counts,
-                   "seed": seed,
+        json.dump({"n_traj": n_traj, "outcomes": counts, "seed": seed,
                    "config": replace(cfg, seed=seed, n_traj=n_traj).as_dict()},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
