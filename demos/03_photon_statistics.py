@@ -11,7 +11,7 @@ trajectories reproduces the mixture-of-Poissonians law exactly.
 import numpy as np
 
 from latticemc import (LatticeSpec, ProbeModel, Scenario, amplitude_table,
-                       photocount_distribution, run_trajectories,
+                       photocount_distribution, run_ensemble,
                        run_trajectory, superfluid_atom_number)
 
 spec = LatticeSpec(n_atoms=100, n_sites=100, n_illuminated=50)
@@ -28,11 +28,11 @@ print(f"counting window tau = {tau:g}:")
 print(f"  theory: <m> = {theory.mean:.3f}, Fano = {theory.fano:.3f}, "
       f"Mandel Q = {theory.mandel_q:.3f}")
 
-ms = np.array([
-    record.final_state.m
-    for record in run_trajectories(p0, model, ([31, i] for i in range(500)),
-                                   max_tau=tau, stop_fwhm=0.0,
-                                   sample_interval_tau=tau / 10)])
+# with no stop rule every member counts to the horizon
+ensemble = run_ensemble(p0, model, [[31, i] for i in range(500)],
+                        max_tau=tau, stop_fwhm=0.0,
+                        sample_interval_tau=tau / 10)
+ms = ensemble.m[:, -1]
 print(f"  500 simulated trajectories: <m> = {ms.mean():.3f}, "
       f"Fano = {ms.var() / ms.mean():.3f}")
 print()

@@ -21,7 +21,7 @@ from .states import (ZDistribution, load_distribution, mott_distribution,
                      superfluid_atom_number, superfluid_difference)
 from .trajectory import (OutcomeReport, RunRecord, classify_outcome,
                          closed_form_distribution, exact_distribution,
-                         predicted_widths, run_trajectories, run_trajectory)
+                         predicted_widths, run_ensemble, run_trajectory)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

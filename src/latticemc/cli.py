@@ -5,7 +5,8 @@ configured by flat key = value text files; presets fig2..fig6 reproduce the
 parameter regimes of the reference figures.  Output is CSV/JSON data only.
 
 Exit codes: 0 success, 2 config error, 3 numerical abort, 4 classification
-ambiguity.
+ambiguity (`trajectory` only: `ensemble` writes an ambiguous member as an
+`unclassifiable` row).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .oracle import compare_with_exact
 from .states import (ZDistribution, load_distribution, mott_distribution,
                      superfluid_atom_number, superfluid_difference)
 from .trajectory import (ClassificationError, NumericalAbort, RunRecord,
-                         Sample, run_trajectories, run_trajectory)
+                         Sample, classify_outcome, run_ensemble,
+                         run_trajectory)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -226,21 +228,9 @@ def write_record(record: RunRecord, out_dir: Path, config: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_columns(out_dir / "trajectory.csv", list(Sample._fields),
                    list(zip(*record.samples)))
-    outcome = record.outcome
-    payload = {
-        "kind": outcome.kind,
-        "z1": outcome.z1,
-        "z2": outcome.z2,
-        "delta_z": outcome.delta_z,
-        "delta_z_predicted": outcome.delta_z_predicted,
-        "phase_phi": outcome.phase_phi,
-        "phase_big_phi": outcome.phase_big_phi,
-        "component_weights": list(outcome.component_weights),
-        "m": record.final_state.m,
-        "tau": record.final_state.tau,
-        "seed": record.seed,
-        "config": config,
-    }
+    payload = {**asdict(record.outcome), "m": record.final_state.m,
+               "tau": record.final_state.tau, "seed": record.seed,
+               "config": config}
     with open(out_dir / "trajectory_outcome.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -269,22 +259,20 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
     model = probe_model(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    run = run_ensemble(p0, model, [[seed, i] for i in range(n_traj)],
+                       max_tau=cfg.max_tau, stop_fwhm=cfg.stop_fwhm,
+                       sample_interval_tau=cfg.sample_interval_tau,
+                       snapshot_taus=cfg.snapshots)
+    counts = dict.fromkeys(("singlet", "doublet", "unclassifiable"), 0)
     outcomes = []
-    counts = {"singlet": 0, "doublet": 0}
-    m_at_tau: dict[float, list[int]] = {s: [] for s in cfg.snapshots}
-    records = run_trajectories(
-        p0, model, ([seed, i] for i in range(n_traj)), max_tau=cfg.max_tau,
-        stop_fwhm=cfg.stop_fwhm, sample_interval_tau=cfg.sample_interval_tau,
-        snapshot_taus=cfg.snapshots)
-    for record in records:
-        o = record.outcome
-        counts[o.kind] += 1
-        outcomes.append((o.kind, o.z1, "" if o.z2 is None else str(o.z2),
-                         record.final_state.m, record.final_state.tau))
-        for tau, samples in m_at_tau.items():
-            k = record.snapshot_strides.get(tau)
-            if k is not None:
-                samples.append(int(record.m[k]))
+    for state in run.final_states:
+        try:
+            o = classify_outcome(state, model)
+            row = (o.kind, str(o.z1), "" if o.z2 is None else str(o.z2))
+        except ClassificationError as exc:  # the reason, as one CSV cell
+            row = ("unclassifiable", '"%s"' % str(exc).replace('"', '""'), "")
+        counts[row[0]] += 1
+        outcomes.append((*row, state.m, state.tau))
 
     with open(out_dir / "ensemble_summary.json", "w") as fh:
         json.dump({"n_traj": n_traj, "outcomes": counts, "seed": seed,
@@ -297,8 +285,9 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
 
     table = amplitude_table(model, p0.z_values)
     c2 = abs(table.c_constant) ** 2
-    for tau, samples in m_at_tau.items():
-        if not samples:
+    for tau, k in run.snapshot_strides:  # members still running at tau
+        samples = run.m[run.stops >= k, k]
+        if not samples.size:
             continue
         t = tau / (2.0 * c2 * model.kappa)
         closed = photostats.photocount_distribution(p0, table, model.kappa, t)
@@ -309,7 +298,7 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
     return EXIT_OK
 
 
-def _m_histogram(samples: list[int], closed: np.ndarray):
+def _m_histogram(samples: np.ndarray, closed: np.ndarray):
     """Columns m, empirical and closed-form probability on a common m grid.
 
     The empirical column takes at most len(samples) + 1 values, k / n: each

@@ -7,14 +7,15 @@ and its state is the closed-form posterior p0(z) |alpha_z|^(2m) e^(-2 kappa
 |alpha_z|^2 t).  The sampler therefore draws a latent z* ~ p0 once and each
 stride's count at the rate 2 kappa |alpha_z*|^2: by Bayes' chain rule, the
 law of drawing each count from the current posterior's Poisson mixture
-(Wiseman & Milburn, Quantum Measurement and Control, 2010).  A run's
-record is its counts m at the grid times t, with p0 and the model; its final
-posterior is classified when it stops, other observables when read.  An
-ensemble's members share one stop loop over blocks of strides: each block's
-log weights for every member still running come from one [1, m, t] product,
-and an exact necessary condition on them, which allows for the product's
-rounding, passes to the stop check only the few strides where it can fire.
-A single run is the ensemble of one.
+(Wiseman & Milburn, Quantum Measurement and Control, 2010).  An ensemble
+is a table over its members: their counts m at the grid times t, their stop
+strides and the final posteriors there, all built at once.  Its members
+share one stop loop over blocks of strides: each block's log weights for
+every member still running come from one [1, m, t] product, and an exact
+necessary condition on them, which allows for the product's rounding,
+passes to the stop check only the few strides where it can fire.  A single
+run is the ensemble of one, classified; its other observables are computed
+when read.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +36,8 @@ from .states import ZDistribution
 PEAK_WEIGHT_THRESHOLD = 1e-3
 # strides per block of log weights; the observables' bits depend on it
 _BLOCK_STRIDES = 128
-# members whose records are held at once; rows per log-weight product and
-# per exact stop check, which holds several posteriors' worth of arrays
-_MEMBERS = 64
+# rows per log-weight product and per exact stop check, which holds
+# several posteriors' worth of arrays
 _PRODUCT_ROWS = 512
 _EXACT_ROWS = 64
 # a finite stand-in for log 0 in the log-weight product
@@ -73,6 +72,18 @@ class FinalState(NamedTuple):
     m: int
     t: float
     tau: float
+
+
+class Ensemble(NamedTuple):
+    """Members' count records to the horizon over the grid times t, in seed
+    order, each member's stop stride and `FinalState` there, and the
+    (snapshot tau, stride) pairs of the grid."""
+
+    m: np.ndarray
+    t: np.ndarray
+    stops: np.ndarray
+    final_states: list[FinalState]
+    snapshot_strides: tuple
 
 
 class Sample(NamedTuple):
@@ -219,15 +230,12 @@ def exact_distribution(p0: ZDistribution, model: ProbeModel,
     return p0.with_probabilities(_reweighted(p0.probabilities, log_factor))
 
 
-def classify_outcome(state: FinalState, model: ProbeModel,
-                     threshold: float = PEAK_WEIGHT_THRESHOLD) -> OutcomeReport:
+def classify_outcome(state: FinalState, model: ProbeModel) -> OutcomeReport:
     """Classify the final conditional state as a singlet or doublet."""
-    dist = state.dist
-    peaks = _peaks(dist.probabilities[None], threshold)[1].tolist()
+    z, p = state.dist.z_values, state.dist.probabilities
+    peaks = _peaks(p[None], PEAK_WEIGHT_THRESHOLD)[1].tolist()
     if not peaks:
         raise ClassificationError("no peak above the weight threshold")
-    z = dist.z_values
-    p = dist.probabilities
 
     if model.scenario is Scenario.MINIMUM:
         if len(peaks) > 2:
@@ -444,8 +452,7 @@ def sample_counts(p0: ZDistribution, table: AmplitudeTable, kappa: float,
 
 
 def stop_strides(p0: ZDistribution, table: AmplitudeTable, kappa: float,
-                 m: np.ndarray, t: np.ndarray, stop_fwhm: float,
-                 threshold: float = PEAK_WEIGHT_THRESHOLD) -> np.ndarray:
+                 m: np.ndarray, t: np.ndarray, stop_fwhm: float) -> np.ndarray:
     """Per count record (a row of m over the strides' times t), the first
     stride after the start whose posterior `_stop_rows` accepts, else the
     last stride.
@@ -473,7 +480,8 @@ def stop_strides(p0: ZDistribution, table: AmplitudeTable, kappa: float,
         rows[:, 1] = counts.ravel()
         rows[:, 2] = np.tile(t[start:start + counts.shape[1]], len(live))
         may = np.concatenate([
-            _may_stop(chunk @ operands, z, stop_fwhm, threshold, chunk @ bound)
+            _may_stop(chunk @ operands, z, stop_fwhm, PEAK_WEIGHT_THRESHOLD,
+                      chunk @ bound)
             for chunk in np.split(rows, range(_PRODUCT_ROWS, len(rows),
                                               _PRODUCT_ROWS))
         ]).reshape(counts.shape)
@@ -488,7 +496,7 @@ def stop_strides(p0: ZDistribution, table: AmplitudeTable, kappa: float,
                 log_factor = _log_factor(table, kappa, rows[sub, 1],
                                          rows[sub, 2])
                 stop.flat[sub] = _stop_rows(_reweighted(p, log_factor), z,
-                                            stop_fwhm, threshold)
+                                            stop_fwhm, PEAK_WEIGHT_THRESHOLD)
             done = stop.any(axis=1)
             below = 2 * below + 1
         last[live[done]] = start + stop[done].argmax(axis=1)
@@ -524,19 +532,18 @@ def _recording_grid(max_tau: float, sample_interval_tau: float | None,
     return taus, tuple(zip(points[is_snap].tolist(), stride[is_snap].tolist()))
 
 
-def run_trajectories(p0: ZDistribution, model: ProbeModel, seeds, *,
-                     max_tau: float, stop_fwhm: float = 0.5,
-                     sample_interval_tau: float | None = None,
-                     snapshot_taus=(),
-                     peak_threshold: float = PEAK_WEIGHT_THRESHOLD
-                     ) -> Iterator[RunRecord]:
-    """Simulate one quantum trajectory per seed; yield their records in order.
+def run_ensemble(p0: ZDistribution, model: ProbeModel, seeds, *,
+                 max_tau: float, stop_fwhm: float = 0.5,
+                 sample_interval_tau: float | None = None,
+                 snapshot_taus=()) -> Ensemble:
+    """Simulate one quantum trajectory per seed (a sequence), as a table.
 
-    Up to `_MEMBERS` members at a time: `sample_counts` draws their count
-    records, and `stop_strides` finds in one loop over blocks of strides
-    where each stops, at the first stride after the start whose peaks are
-    all narrower than stop_fwhm.  Deterministic for given seeds; a record
-    does not depend on the other seeds.
+    `sample_counts` draws every member's count record to the horizon, and
+    `stop_strides` finds in one loop over blocks of strides where each
+    stops, at the first stride after the start whose peaks are all
+    narrower than stop_fwhm.  One `_reweighted` call builds every member's
+    final posterior.  Deterministic for given seeds; a member does not
+    depend on the other seeds.
     """
     if max_tau <= 0:
         raise ValueError("max_tau must be > 0")
@@ -547,25 +554,25 @@ def run_trajectories(p0: ZDistribution, model: ProbeModel, seeds, *,
     taus, snap_strides = _recording_grid(max_tau, sample_interval_tau,
                                          tuple(snapshot_taus))
     t = taus * (1.0 / (2.0 * c2 * model.kappa))
-    seeds = iter(seeds)
-    while chunk := list(islice(seeds, _MEMBERS)):
-        m = sample_counts(p0, table, model.kappa, t, chunk)
-        last = stop_strides(p0, table, model.kappa, m, t, stop_fwhm,
-                            peak_threshold)
-        for seed, counts, k in zip(chunk, m, last.tolist()):
-            m_end, t_end = int(counts[k]), float(t[k])
-            final_state = FinalState(
-                closed_form_distribution(p0, table, model.kappa, m_end, t_end),
-                m_end, t_end, 2.0 * c2 * model.kappa * t_end)
-            yield RunRecord(
-                m=counts[:k + 1].copy(), t=t, p0=p0, model=model,
-                final_state=final_state,
-                outcome=classify_outcome(final_state, model, peak_threshold),
-                snapshot_strides={s: j for s, j in snap_strides if j <= k},
-                seed=seed)
+    m = sample_counts(p0, table, model.kappa, t, seeds)
+    stops = stop_strides(p0, table, model.kappa, m, t, stop_fwhm)
+    m_end, t_end = m[np.arange(len(m)), stops], t[stops]
+    dists = _reweighted(p0.probabilities,
+                        _log_factor(table, model.kappa, m_end, t_end))
+    final_states = [FinalState(p0.with_probabilities(p), mk, tk,
+                               2.0 * c2 * model.kappa * tk)
+                    for p, mk, tk in zip(dists, m_end.tolist(),
+                                         t_end.tolist())]
+    return Ensemble(m, t, stops, final_states, snap_strides)
 
 
 def run_trajectory(p0: ZDistribution, model: ProbeModel, *, seed,
                    **kwargs) -> RunRecord:
-    """One quantum trajectory: `run_trajectories` for the one seed."""
-    return next(run_trajectories(p0, model, [seed], **kwargs))
+    """One quantum trajectory: `run_ensemble` for the one seed, classified."""
+    run = run_ensemble(p0, model, [seed], **kwargs)
+    k, final_state = int(run.stops[0]), run.final_states[0]
+    return RunRecord(
+        m=run.m[0, :k + 1], t=run.t, p0=p0, model=model,
+        final_state=final_state, outcome=classify_outcome(final_state, model),
+        snapshot_strides={s: j for s, j in run.snapshot_strides if j <= k},
+        seed=seed)

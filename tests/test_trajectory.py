@@ -632,20 +632,29 @@ def test_may_stop_allows_for_the_slack():
 def _record_summary(rec):
     return (rec.m.tobytes(), rec.m.dtype, rec.t.tobytes(), rec.final_state.m,
             rec.final_state.t, rec.final_state.dist.probabilities.tobytes(),
-            rec.outcome, rec.snapshot_strides, rec.seed)
+            rec.outcome)
 
 
-def _batch_summaries(p0, model, seeds, **kwargs):
-    """Each seed's record summary, or its error, from `run_trajectories`
-    over the seeds, resumed after a member that raises."""
+def _ensemble_summaries(p0, model, seeds, **kwargs):
+    """Each member's record summary, or its error, from one `run_ensemble`
+    over the seeds.  Each member's final posterior is
+    `closed_form_distribution` at its final (m, t), bit for bit."""
+    run = trajectory.run_ensemble(p0, model, seeds, **kwargs)
+    table = amplitude_table(model, p0.z_values)
+    assert run.m.shape == (len(seeds), len(run.t))
     out = []
-    while len(out) < len(seeds):
+    for counts, k, st in zip(run.m, run.stops.tolist(), run.final_states):
+        assert (st.m, st.t) == (counts[k], run.t[k])
+        direct = closed_form_distribution(p0, table, model.kappa, st.m, st.t)
+        assert (st.dist.probabilities.tobytes()
+                == direct.probabilities.tobytes())
         try:
-            for rec in trajectory.run_trajectories(p0, model, seeds[len(out):],
-                                                   **kwargs):
-                out.append(_record_summary(rec))
+            outcome = classify_outcome(st, model)
         except ClassificationError as exc:
             out.append(repr(exc))
+            continue
+        out.append((counts[:k + 1].tobytes(), counts.dtype, run.t.tobytes(),
+                    st.m, st.t, st.dist.probabilities.tobytes(), outcome))
     return out
 
 
@@ -667,8 +676,8 @@ def _config_runs(cfg):
         snapshot_taus=cfg.snapshots)
 
 
-def test_run_trajectories_equal_single_runs():
-    """A batch's records are, byte for byte, the members' single runs:
+def test_run_ensemble_equal_single_runs():
+    """An ensemble's members are, byte for byte, their single runs:
     fig2-fig5, the maximum (dark z = 0) and minimum configs, and a Mott
     point mass (zero-prior z), 6 seeds each."""
     cases = [parse_config(load_preset(name))
@@ -684,33 +693,34 @@ def test_run_trajectories_equal_single_runs():
     seeds = [[8, i] for i in range(6)]
     for cfg in cases:
         p0, model, kwargs = _config_runs(cfg)
-        assert (_batch_summaries(p0, model, seeds, **kwargs)
+        assert (_ensemble_summaries(p0, model, seeds, **kwargs)
                 == _single_summaries(p0, model, seeds, **kwargs))
 
 
-def test_run_trajectories_across_member_chunks():
-    """fig2 with two chunks of members and a part chunk: members stop in
-    different blocks of strides or never, and each stops at the first
-    stride `_stop_rows` accepts on its whole record, as its single run."""
+def test_run_ensemble_members_stop_in_different_blocks():
+    """fig2, 133 members: members stop in different blocks of strides or
+    never, and each stops at the first stride `_stop_rows` accepts on its
+    whole record, as its single run; the record to the horizon does not
+    depend on the stop."""
     cfg = parse_config(load_preset("fig2"))
     p0, model, kwargs = _config_runs(cfg)
-    seeds = [[9, i] for i in range(2 * trajectory._MEMBERS + 5)]
-    batch = _batch_summaries(p0, model, seeds, **kwargs)
-    assert batch == _single_summaries(p0, model, seeds, **kwargs)
-    records = list(trajectory.run_trajectories(p0, model, seeds, **kwargs))
+    seeds = [[9, i] for i in range(133)]
+    assert (_ensemble_summaries(p0, model, seeds, **kwargs)
+            == _single_summaries(p0, model, seeds, **kwargs))
+    run = trajectory.run_ensemble(p0, model, seeds, **kwargs)
+    full = trajectory.run_ensemble(p0, model, seeds,
+                                   **{**kwargs, "stop_fwhm": 0.0})
+    assert run.m.tobytes() == full.m.tobytes()
     table = amplitude_table(model, p0.z_values)
     p, z = p0.probabilities, p0.z_values.astype(float)
     blocks = set()
-    for rec in records:
-        full = run_trajectory(p0, model, seed=rec.seed,
-                              **{**kwargs, "stop_fwhm": 0.0})
+    for counts, k in zip(run.m, run.stops.tolist()):
         stop = _stop_rows(trajectory._reweighted(p, trajectory._log_factor(
-            table, model.kappa, full.m[1:], rec.t[1:])), z, cfg.stop_fwhm,
+            table, model.kappa, counts[1:], run.t[1:])), z, cfg.stop_fwhm,
             trajectory.PEAK_WEIGHT_THRESHOLD)
-        last = 1 + int(np.argmax(stop)) if stop.any() else len(rec.t) - 1
-        assert len(rec.m) == last + 1
-        assert rec.m.tobytes() == full.m[:last + 1].tobytes()
-        blocks.add((last - 1) // trajectory._BLOCK_STRIDES
+        assert k == (1 + int(np.argmax(stop)) if stop.any()
+                     else len(run.t) - 1)
+        blocks.add((k - 1) // trajectory._BLOCK_STRIDES
                    if stop.any() else None)
     assert None in blocks and len(blocks - {None}) >= 2
 
@@ -909,12 +919,13 @@ def test_classify_reads_only_dist_m_t_and_tau():
     builds it."""
     for preset in ("fig2", "fig3", "fig5"):
         p0, model, kwargs = _config_runs(parse_config(load_preset(preset)))
-        for rec in trajectory.run_trajectories(
-                p0, model, ([21, i] for i in range(6)), **kwargs):
-            st = rec.final_state
+        run = trajectory.run_ensemble(p0, model, [[21, i] for i in range(6)],
+                                      **kwargs)
+        for st in run.final_states:
             state = types.SimpleNamespace(dist=st.dist, m=st.m, t=st.t,
                                           tau=st.tau)
-            assert classify_outcome(state, model) == rec.outcome
+            assert (classify_outcome(state, model)
+                    == classify_outcome(st, model))
 
 
 # ------------------------------------------------------------ full runs

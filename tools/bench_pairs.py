@@ -20,8 +20,9 @@ of each side and the number of pairs the change wins, and per side the
 operations attempted and failed over all pairs.  Each run also records its
 failures by operation label and, per label that failed, the passes where it
 succeeded, and each pair prints them: a failed-share gap that comes from
-which passes an operation happens to succeed at (fig4 on `presets`) reads
-apart from a new failure.  Each run also records, per operation label, the
+which passes an operation happens to succeed at reads apart from a new
+failure (fig4 on `presets` failed that way while one ambiguous member
+aborted its whole ensemble; it is now written as an `unclassifiable` row).  Each run also records, per operation label, the
 median bytes its successful operations wrote: a deterministic work counter
 that machine drift does not move.  Each pair prints it, and the summary
 gives its median over the pairs per side.  A warning is printed when
