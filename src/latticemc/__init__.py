@@ -13,15 +13,15 @@ from .geometry import (LatticeSpec, ModeFunction, Scenario, ScenarioGeometry,
 from .optics import (AmplitudeTable, ProbeModel, amplitude_table, cat_phase,
                      steady_amplitude, transient_amplitude)
 from .oracle import (JointState, apply_jump, compare_with_exact,
-                     evolve_nonhermitian, mott_joint_state, run_script,
-                     superfluid_joint_state, z_marginal)
+                     evolve_nonhermitian, run_script, superfluid_joint_state,
+                     z_marginal)
 from .photostats import PhotonDistribution, photocount_distribution
-from .purity import CatMixture, density_matrix, purity, purity_sweep
+from .purity import purity, purity_sweep
 from .states import (ZDistribution, load_distribution, mott_distribution,
                      superfluid_atom_number, superfluid_difference)
 from .trajectory import (OutcomeReport, RunRecord, classify_outcome,
                          closed_form_distribution, exact_distribution,
-                         predicted_widths, run_ensemble, run_trajectory)
+                         run_ensemble, run_trajectory)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

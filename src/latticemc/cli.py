@@ -240,21 +240,18 @@ def write_record(record: RunRecord, out_dir: Path, config: dict):
                        [dist.z_values, dist.probabilities])
 
 
-def cmd_trajectory(cfg: RunConfig, out_dir: Path, seed: int | None = None) -> int:
-    seed = cfg.seed if seed is None else seed
+def cmd_trajectory(cfg: RunConfig, out_dir: Path) -> int:
     record = run_trajectory(
-        initial_distribution(cfg), probe_model(cfg), seed=[seed],
+        initial_distribution(cfg), probe_model(cfg), seed=[cfg.seed],
         max_tau=cfg.max_tau, stop_fwhm=cfg.stop_fwhm,
         sample_interval_tau=cfg.sample_interval_tau,
         snapshot_taus=cfg.snapshots)
-    write_record(record, out_dir, replace(cfg, seed=seed).as_dict())
+    write_record(record, out_dir, cfg.as_dict())
     return EXIT_OK
 
 
-def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
-                 seed: int | None = None) -> int:
-    n_traj = cfg.n_traj if n_traj is None else n_traj
-    seed = cfg.seed if seed is None else seed
+def cmd_ensemble(cfg: RunConfig, out_dir: Path) -> int:
+    n_traj, seed = cfg.n_traj, cfg.seed
     p0 = initial_distribution(cfg)
     model = probe_model(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -276,8 +273,7 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
 
     with open(out_dir / "ensemble_summary.json", "w") as fh:
         json.dump({"n_traj": n_traj, "outcomes": counts, "seed": seed,
-                   "config": replace(cfg, seed=seed, n_traj=n_traj).as_dict()},
-                  fh, indent=2, sort_keys=True)
+                   "config": cfg.as_dict()}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_columns(out_dir / "ensemble_outcomes.csv",
                    ["trajectory", "kind", "z1", "z2", "m", "tau"],
@@ -285,10 +281,8 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path, n_traj: int | None = None,
 
     table = amplitude_table(model, p0.z_values)
     c2 = abs(table.c_constant) ** 2
-    for tau, k in run.snapshot_strides:  # members still running at tau
-        samples = run.m[run.stops >= k, k]
-        if not samples.size:
-            continue
+    for tau, k in run.snapshot_strides:  # every member's count at tau
+        samples = run.m[:, k]
         t = tau / (2.0 * c2 * model.kappa)
         closed = photostats.photocount_distribution(p0, table, model.kappa, t)
         _write_columns(out_dir / f"m_hist_tau{tau:g}.csv",
@@ -394,21 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    """The config with `--snapshots` applied, its fields checked with it and
-    with the `--seed` and `--n-traj` the command gets apart; each command
-    echoes the config it ran, flags applied."""
+    """The config with the `--seed`, `--n-traj` and `--snapshots` flags
+    applied and its fields checked with them; each command echoes the config
+    it ran."""
     cfg = parse_config(load_preset(args.preset) if args.preset
                        else args.config.read_text())
-    snapshots = getattr(args, "snapshots", None)
-    if snapshots:
-        try:
-            cfg.snapshots = _parse_number_list(snapshots, float)
-        except ValueError as exc:
-            raise ConfigError(f"--snapshots: {exc}") from exc
     flags = {k: v for k in ("seed", "n_traj")
              if (v := getattr(args, k, None)) is not None}
-    if flags or snapshots:
-        _check_fields(replace(cfg, **flags))
+    if snapshots := getattr(args, "snapshots", None):
+        try:
+            flags["snapshots"] = _parse_number_list(snapshots, float)
+        except ValueError as exc:
+            raise ConfigError(f"--snapshots: {exc}") from exc
+    cfg = replace(cfg, **flags)
+    _check_fields(cfg)
     return cfg
 
 
@@ -419,9 +412,9 @@ def main(argv=None) -> int:
             return cmd_oracle_check(args.out)
         cfg = _load_config(args)
         if args.command == "trajectory":
-            return cmd_trajectory(cfg, args.out, args.seed)
+            return cmd_trajectory(cfg, args.out)
         if args.command == "ensemble":
-            return cmd_ensemble(cfg, args.out, args.n_traj, args.seed)
+            return cmd_ensemble(cfg, args.out)
         if args.command == "purity-sweep":
             return cmd_purity_sweep(cfg, args.out)
         raise AssertionError(args.command)

@@ -87,15 +87,6 @@ def superfluid_joint_state(spec: LatticeSpec, alpha0: complex = 0.0,
     return JointState(tuple(cfgs), n_max, np.outer(c, light))
 
 
-def mott_joint_state(spec: LatticeSpec, alpha0: complex = 0.0,
-                     n_max: int = 8) -> JointState:
-    if spec.n_atoms != spec.n_sites:
-        raise ValueError("Mott state requires unit filling")
-    cfgs = compositions(spec.n_atoms, spec.n_sites)
-    c = np.array([1.0 if all(qj == 1 for qj in q) else 0.0 for q in cfgs])
-    return JointState(tuple(cfgs), n_max, np.outer(c, _coherent_column(alpha0, n_max)))
-
-
 @lru_cache(maxsize=32)
 def _mode_sums(configs: tuple, scenario: Scenario, spec: LatticeSpec
                ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,57 +1,15 @@
 """Robustness of the prepared superposition against missed photocounts.
 
 Each lost count shifts the relative phase of the two superposition
-components by 2*phi; L losses leave an (L+1)-member mixture whose 2x2
-density matrix (in the orthonormal component basis) and purity have closed
-forms.
+components by 2*phi; L losses leave an (L+1)-member mixture whose purity
+has a closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .optics import ProbeModel, cat_phase
-
-
-@dataclass(frozen=True)
-class CatMixture:
-    """Two-component superposition mixed over L unknown lost counts.
-
-    phi is the per-count phase jump half-angle; gamma collects the known
-    deterministic phase; weights are the component populations.
-    """
-
-    phi: float
-    gamma: float = 0.0
-    losses: int = 0
-    weights: tuple[float, float] = (0.5, 0.5)
-
-    def __post_init__(self):
-        if self.losses < 0:
-            raise ValueError("losses must be >= 0")
-        w1, w2 = self.weights
-        if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
-
-
-def _loss_phase_average(L: int, phi: float) -> complex:
-    """(1/(L+1)) sum_{l=0..L} exp(i 2 l phi)."""
-    l = np.arange(L + 1)
-    return complex(np.exp(2j * l * phi).sum() / (L + 1))
-
-
-def density_matrix(mix: CatMixture) -> np.ndarray:
-    """2x2 density matrix of the loss mixture in the component basis.
-
-    The two components are orthonormal (distinct atomic Fock factors), so
-    coherent-state overlaps never enter.
-    """
-    w1, w2 = mix.weights
-    off = (np.sqrt(w1 * w2) * np.exp(2j * mix.gamma)
-           * _loss_phase_average(mix.losses, mix.phi))
-    return np.array([[w1, off], [np.conj(off), w2]], dtype=complex)
 
 
 def purity(L: int, phi: float) -> float:

@@ -15,12 +15,13 @@ every member still running come from one [1, m, t] product, and an exact
 necessary condition on them, which allows for the product's rounding,
 passes to the stop check only the few strides where it can fire.  A single
 run is the ensemble of one, classified; its other observables are computed
-when read.
+when read.  Every posterior the stop check, the outputs and the closed form
+use comes from one kernel, `_posteriors`, which builds each (m, t) row on
+its own: the block sizes set speed and memory, never an output bit.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -34,10 +35,11 @@ from .optics import (AmplitudeTable, ProbeModel, amplitude_table, cat_phase,
 from .states import ZDistribution
 
 PEAK_WEIGHT_THRESHOLD = 1e-3
-# strides per block of log weights; the observables' bits depend on it
+# strides per block of the stop loop and of a record's observables, rows
+# per log-weight product and per exact stop check (which holds several
+# posteriors' worth of arrays): they set speed and memory, never a bit of
+# the output, as every row is computed on its own
 _BLOCK_STRIDES = 128
-# rows per log-weight product and per exact stop check, which holds
-# several posteriors' worth of arrays
 _PRODUCT_ROWS = 512
 _EXACT_ROWS = 64
 # a finite stand-in for log 0 in the log-weight product
@@ -117,20 +119,19 @@ class RunRecord:
         c2, n, b = abs(table.c_constant) ** 2, len(self.m), _BLOCK_STRIDES
         z, lam = self.p0.z_values.astype(float), table.intensity
         moments = np.array([z, z * z, lam, lam * lam]).T
-        # whole blocks, rows past the stop at its count: a row's bits do not
-        # depend on where the run stopped
-        t = self.t[:-(-n // b) * b]
-        m = np.pad(self.m, (0, len(t) - n), mode="edge")
+        t = self.t[:n]
+        # einsum sums each row alone, unlike a BLAS product
         mean_z, mean_z2, mean_lam, mean_lam2 = np.concatenate([
-            _reweighted(self.p0.probabilities, _log_factor(
-                table, kappa, m[i:i + b], t[i:i + b])) @ moments
-            for i in range(0, len(t), b)])[:n].T
+            np.einsum("ij,jk->ik", _posteriors(
+                self.p0.probabilities, table, kappa, self.m[i:i + b],
+                t[i:i + b]), moments)
+            for i in range(0, n, b)]).T
         q = np.divide(mean_lam2 - mean_lam**2, mean_lam * c2,
                       out=np.zeros(n), where=mean_lam > 0)
         columns = (t, 2.0 * c2 * kappa * t, self.m, mean_z,
                    np.sqrt(np.maximum(mean_z2 - mean_z**2, 0.0)),
                    mean_lam / c2, q)
-        return list(map(Sample, *(c[:n].tolist() for c in columns)))
+        return list(map(Sample, *(c.tolist() for c in columns)))
 
     @cached_property
     def snapshots(self) -> dict:
@@ -142,11 +143,7 @@ class RunRecord:
 
 
 def _reweighted(p: np.ndarray, log_factor: np.ndarray) -> np.ndarray:
-    """p(z) exp(log_factor) renormalized in log space, per row of log_factor.
-
-    The one posterior kernel of the closed forms and the sampler's blocks
-    of strides.
-    """
+    """p(z) exp(log_factor) renormalized in log space, per row of log_factor."""
     logw = np.log(p, out=np.full(p.shape, -np.inf), where=p > 0) + log_factor
     peak = logw.max(axis=-1, keepdims=True)
     if not np.isfinite(peak).all():
@@ -155,63 +152,28 @@ def _reweighted(p: np.ndarray, log_factor: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _log_factor(table: AmplitudeTable, kappa: float, m: np.ndarray,
-                t: np.ndarray) -> np.ndarray:
-    """log(|alpha_z|^(2m) e^(-2 kappa |alpha_z|^2 t)) per (m, t) row."""
+def _posteriors(p: np.ndarray, table: AmplitudeTable, kappa: float,
+                m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The steady posterior p(z) |alpha_z|^(2m) e^(-2 kappa |alpha_z|^2 t),
+    normalized, per (m, t) row.
+
+    The one posterior kernel of the closed form, the stop check, the final
+    states and the observables.  Every step is elementwise or a reduction
+    along its own row, so a row's bits do not depend on the other rows.
+    """
     lam, dark = table.intensity, table.intensity == 0
     log_factor = (np.outer(m, np.log(lam, out=np.zeros(len(lam)), where=~dark))
                   - np.outer(t, 2.0 * kappa * lam))
     if dark.any():  # no z is dark in transmission
         log_factor[np.ix_(m > 0, dark)] = -np.inf
-    return log_factor
-
-
-def predicted_widths(scenario: Scenario, m: int, tau: float,
-                     kappa_over_u11: float | None = None,
-                     delta_z: float | None = None) -> float:
-    """Analytic FWHM prediction for the collapsing peak.
-
-    Maximum/minimum: sqrt(2 ln2 / tau).  Transmission singlet:
-    2 (kappa/u11) (2 ln2 / tau')^(1/4).  Transmission doublet component:
-    dz (1 + (kappa/u11)^2/dz^2) sqrt((2 ln2 / tau')(1 + dz^2/(kappa/u11)^2)).
-    Regime-guard violations are flagged with warnings, not errors.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
-    if scenario in (Scenario.MAXIMUM, Scenario.MINIMUM):
-        dz = float(np.sqrt(2.0 * LN2 / tau))
-        if m > 0:
-            z1 = np.sqrt(m / tau)
-            if dz > z1 / 3:
-                warnings.warn("width formula outside its regime: "
-                              f"fwhm {dz:.3g} not << peak centre {z1:.3g}",
-                              stacklevel=2)
-        return dz
-    if kappa_over_u11 is None:
-        raise ValueError("transmission width needs kappa_over_u11")
-    w = kappa_over_u11
-    if delta_z is None:
-        dz = float(2.0 * w * (2.0 * LN2 / tau) ** 0.25)
-        if dz > w / 3:
-            warnings.warn("singlet width formula outside its regime: "
-                          f"fwhm {dz:.3g} not << kappa/u11 {w:.3g}",
-                          stacklevel=2)
-        return dz
-    ratio = delta_z / w
-    dz = float(delta_z * (1.0 + 1.0 / ratio**2)
-               * np.sqrt(2.0 * LN2 / tau * (1.0 + ratio**2)))
-    if dz > delta_z / 3:
-        warnings.warn("doublet width formula outside its regime: "
-                      f"fwhm {dz:.3g} not << splitting {delta_z:.3g}",
-                      stacklevel=2)
-    return dz
+    return _reweighted(p, log_factor)
 
 
 def closed_form_distribution(p0: ZDistribution, amplitudes: AmplitudeTable,
                              kappa: float, m: int, t: float) -> ZDistribution:
     """Direct steady-regime distribution: |alpha_z|^(2m) e^(-2|a|^2 kt) p0 / F^2."""
-    log_factor = _log_factor(amplitudes, kappa, np.array([m]), np.array([t]))
-    return p0.with_probabilities(_reweighted(p0.probabilities, log_factor[0]))
+    return p0.with_probabilities(_posteriors(
+        p0.probabilities, amplitudes, kappa, np.array([m]), np.array([t]))[0])
 
 
 def exact_distribution(p0: ZDistribution, model: ProbeModel,
@@ -374,7 +336,7 @@ def _may_stop(logw: np.ndarray, z: np.ndarray, stop_fwhm: float,
     exact test that needs no normaliser.
 
     `slack` (per row, or one value) bounds how far each finite entry of a
-    row may lie from the log weight `_reweighted` sums; it is 0 when logw is
+    row may lie from the log weight `_posteriors` sums; it is 0 when logw is
     that sum.  An entry may stand in for -inf by any value far below the
     row's largest.  Take the first argmax k.  With slack 0, p_k is the
     largest p, so if any peak reaches the threshold, so does k.  With slack
@@ -417,7 +379,7 @@ def _log_weight_operands(p: np.ndarray, table: AmplitudeTable,
     gives each row's log weights log p0 + log_factor, and the coefficients
     whose product with the same rows bounds the rows' rounding.
 
-    The product and the sums `_reweighted` takes each round within
+    The product and the sums `_posteriors` takes each round within
     3 eps/2 (|log p0| + m |log lam| + 2 kappa lam t) of the exact value, so
     4 eps times the operands' largest magnitudes bounds their distance.  A
     zero prior's or a dark z's log is the finite `_NO_WEIGHT`, as 0 * -inf is
@@ -460,12 +422,12 @@ def stop_strides(p0: ZDistribution, table: AmplitudeTable, kappa: float,
     One loop over blocks of strides holds every record still running.  Each
     block's log weights come from [1, m, t] rows' product with
     `_log_weight_operands`, `_PRODUCT_ROWS` rows at a time.  Only rows that
-    `_may_stop` passes get the exact `_log_factor`, `_reweighted` and
-    `_stop_rows`, `_EXACT_ROWS` at a time: each record's first passed row,
-    then its next 2, 4, ... until one stops.  A stopped record's later rows
+    `_may_stop` passes get the exact `_posteriors` and `_stop_rows`,
+    `_EXACT_ROWS` at a time: each record's first passed row, then its next
+    2, 4, ... until one stops.  A stopped record's later rows
     go unchecked, and those of later blocks are never built.  The latent z*
     of a sampled record has a finite log weight on every row, so
-    `_reweighted` cannot abort here.
+    `_posteriors` cannot abort here.
     """
     last = np.full(len(m), len(t) - 1)
     if stop_fwhm <= 0:
@@ -493,10 +455,9 @@ def stop_strides(p0: ZDistribution, table: AmplitudeTable, kappa: float,
                                       & ~done[:, None])).size:
             for sub in np.split(todo, range(_EXACT_ROWS, len(todo),
                                             _EXACT_ROWS)):
-                log_factor = _log_factor(table, kappa, rows[sub, 1],
-                                         rows[sub, 2])
-                stop.flat[sub] = _stop_rows(_reweighted(p, log_factor), z,
-                                            stop_fwhm, PEAK_WEIGHT_THRESHOLD)
+                stop.flat[sub] = _stop_rows(
+                    _posteriors(p, table, kappa, rows[sub, 1], rows[sub, 2]),
+                    z, stop_fwhm, PEAK_WEIGHT_THRESHOLD)
             done = stop.any(axis=1)
             below = 2 * below + 1
         last[live[done]] = start + stop[done].argmax(axis=1)
@@ -541,7 +502,7 @@ def run_ensemble(p0: ZDistribution, model: ProbeModel, seeds, *,
     `sample_counts` draws every member's count record to the horizon, and
     `stop_strides` finds in one loop over blocks of strides where each
     stops, at the first stride after the start whose peaks are all
-    narrower than stop_fwhm.  One `_reweighted` call builds every member's
+    narrower than stop_fwhm.  One `_posteriors` call builds every member's
     final posterior.  Deterministic for given seeds; a member does not
     depend on the other seeds.
     """
@@ -557,8 +518,7 @@ def run_ensemble(p0: ZDistribution, model: ProbeModel, seeds, *,
     m = sample_counts(p0, table, model.kappa, t, seeds)
     stops = stop_strides(p0, table, model.kappa, m, t, stop_fwhm)
     m_end, t_end = m[np.arange(len(m)), stops], t[stops]
-    dists = _reweighted(p0.probabilities,
-                        _log_factor(table, model.kappa, m_end, t_end))
+    dists = _posteriors(p0.probabilities, table, model.kappa, m_end, t_end)
     final_states = [FinalState(p0.with_probabilities(p), mk, tk,
                                2.0 * c2 * model.kappa * tk)
                     for p, mk, tk in zip(dists, m_end.tolist(),

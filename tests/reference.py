@@ -1,12 +1,16 @@
 """Plain reference implementations that several test files share."""
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.stats import chisquare
 
+from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import AmplitudeTable
+from latticemc.oracle import JointState, _coherent_column, compositions
 from latticemc.states import ZDistribution
-from latticemc.trajectory import _reweighted
+from latticemc.trajectory import LN2, _reweighted
 
 
 @dataclass(frozen=True)
@@ -89,3 +93,109 @@ def fwhm_of_peak(dist: ZDistribution, peak_index: int) -> float:
         frac = (p[j] - half) / (p[j] - p[j + 1])
         right = z[j] + frac * (z[j + 1] - z[j])
     return float(right - left)
+
+
+def predicted_widths(scenario: Scenario, m: int, tau: float,
+                     kappa_over_u11: float | None = None,
+                     delta_z: float | None = None) -> float:
+    """Analytic FWHM prediction for the collapsing peak.
+
+    Maximum/minimum: sqrt(2 ln2 / tau).  Transmission singlet:
+    2 (kappa/u11) (2 ln2 / tau')^(1/4).  Transmission doublet component:
+    dz (1 + (kappa/u11)^2/dz^2) sqrt((2 ln2 / tau')(1 + dz^2/(kappa/u11)^2)).
+    Regime-guard violations are flagged with warnings, not errors.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be > 0")
+    if scenario in (Scenario.MAXIMUM, Scenario.MINIMUM):
+        dz = float(np.sqrt(2.0 * LN2 / tau))
+        if m > 0:
+            z1 = np.sqrt(m / tau)
+            if dz > z1 / 3:
+                warnings.warn("width formula outside its regime: "
+                              f"fwhm {dz:.3g} not << peak centre {z1:.3g}",
+                              stacklevel=2)
+        return dz
+    if kappa_over_u11 is None:
+        raise ValueError("transmission width needs kappa_over_u11")
+    w = kappa_over_u11
+    if delta_z is None:
+        dz = float(2.0 * w * (2.0 * LN2 / tau) ** 0.25)
+        if dz > w / 3:
+            warnings.warn("singlet width formula outside its regime: "
+                          f"fwhm {dz:.3g} not << kappa/u11 {w:.3g}",
+                          stacklevel=2)
+        return dz
+    ratio = delta_z / w
+    dz = float(delta_z * (1.0 + 1.0 / ratio**2)
+               * np.sqrt(2.0 * LN2 / tau * (1.0 + ratio**2)))
+    if dz > delta_z / 3:
+        warnings.warn("doublet width formula outside its regime: "
+                      f"fwhm {dz:.3g} not << splitting {delta_z:.3g}",
+                      stacklevel=2)
+    return dz
+
+
+@dataclass(frozen=True)
+class CatMixture:
+    """Two-component superposition mixed over L unknown lost counts.
+
+    phi is the per-count phase jump half-angle; gamma collects the known
+    deterministic phase; weights are the component populations.
+    """
+
+    phi: float
+    gamma: float = 0.0
+    losses: int = 0
+    weights: tuple[float, float] = (0.5, 0.5)
+
+    def __post_init__(self):
+        if self.losses < 0:
+            raise ValueError("losses must be >= 0")
+        w1, w2 = self.weights
+        if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-12:
+            raise ValueError("weights must be nonnegative and sum to 1")
+
+
+def _loss_phase_average(L: int, phi: float) -> complex:
+    """(1/(L+1)) sum_{l=0..L} exp(i 2 l phi)."""
+    l = np.arange(L + 1)
+    return complex(np.exp(2j * l * phi).sum() / (L + 1))
+
+
+def density_matrix(mix: CatMixture) -> np.ndarray:
+    """2x2 density matrix of the loss mixture in the component basis.
+
+    The two components are orthonormal (distinct atomic Fock factors), so
+    coherent-state overlaps never enter.
+    """
+    w1, w2 = mix.weights
+    off = (np.sqrt(w1 * w2) * np.exp(2j * mix.gamma)
+           * _loss_phase_average(mix.losses, mix.phi))
+    return np.array([[w1, off], [np.conj(off), w2]], dtype=complex)
+
+
+def mott_joint_state(spec: LatticeSpec, alpha0: complex = 0.0,
+                     n_max: int = 8) -> JointState:
+    if spec.n_atoms != spec.n_sites:
+        raise ValueError("Mott state requires unit filling")
+    cfgs = compositions(spec.n_atoms, spec.n_sites)
+    c = np.array([1.0 if all(qj == 1 for qj in q) else 0.0 for q in cfgs])
+    return JointState(tuple(cfgs), n_max,
+                      np.outer(c, _coherent_column(alpha0, n_max)))
+
+
+def pooled_chisquare_p(observed_counts, expected_counts, min_expected=5.0):
+    """Chi-square p value after pooling adjacent bins to >= min_expected."""
+    po, pe, ao, ae = [], [], 0.0, 0.0
+    for o, e in zip(observed_counts, expected_counts):
+        ao += o
+        ae += e
+        if ae >= min_expected:
+            po.append(ao)
+            pe.append(ae)
+            ao = ae = 0.0
+    po[-1] += ao
+    pe[-1] += ae
+    pe = np.array(pe) * (sum(po) / sum(pe))
+    return chisquare(po, pe).pvalue

@@ -10,18 +10,18 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
 
 from latticemc.cli import main as cli_main
 from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import ProbeModel, amplitude_table
 from latticemc.oracle import compare_with_exact
 from latticemc.photostats import photocount_distribution
-from latticemc.purity import CatMixture, density_matrix, purity, purity_sweep
+from latticemc.purity import purity, purity_sweep
 from latticemc.states import superfluid_atom_number, superfluid_difference
-from latticemc.trajectory import (PEAK_WEIGHT_THRESHOLD, _peaks,
-                                  predicted_widths, run_trajectory)
-from reference import TrajectoryState, fwhm_of_peak, jump, no_count_step
+from latticemc.trajectory import PEAK_WEIGHT_THRESHOLD, _peaks, run_trajectory
+from reference import (CatMixture, TrajectoryState, density_matrix,
+                       fwhm_of_peak, jump, no_count_step, pooled_chisquare_p,
+                       predicted_widths)
 
 SPEC = LatticeSpec(100, 100, 50)
 P0 = superfluid_atom_number(SPEC)
@@ -34,22 +34,6 @@ def report(capsys, ok, num, text):
     with capsys.disabled():
         print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {text}")
     assert ok, f"criterion {num}: {text}"
-
-
-def pooled_chisquare_p(observed_counts, expected_counts, min_expected=5.0):
-    """Chi-square p value after pooling adjacent bins to >= min_expected."""
-    po, pe, ao, ae = [], [], 0.0, 0.0
-    for o, e in zip(observed_counts, expected_counts):
-        ao += o
-        ae += e
-        if ae >= min_expected:
-            po.append(ao)
-            pe.append(ae)
-            ao = ae = 0.0
-    po[-1] += ao
-    pe[-1] += ae
-    pe = np.array(pe) * (sum(po) / sum(pe))
-    return chisquare(po, pe).pvalue
 
 
 def maximum_ensemble():

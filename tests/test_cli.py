@@ -13,6 +13,7 @@ from latticemc.geometry import Scenario
 from latticemc.optics import amplitude_table
 from latticemc.photostats import photocount_distribution
 from latticemc.trajectory import run_trajectory
+from reference import pooled_chisquare_p
 
 GOOD = """
 # transmission run
@@ -181,6 +182,35 @@ def test_m_hist_rows_end_with_the_photocount_support(tmp_path):
         assert lines[1:] == [
             f"{m},{'%.17g' % (k / n_traj)},{'%.17g' % p}"
             for m, (k, p) in enumerate(zip(counts, law.probabilities))]
+
+
+def test_m_hist_counts_every_member(tmp_path):
+    """Each m_hist file histograms every member's count at its snapshot
+    stride, stopped or not, so it follows the unconditional photocount law:
+    fig2, fig3 and fig5 at 300 members and their own seeds, pooled chi-square
+    p > 0.01 at every snapshot after the start."""
+    n_traj = 300
+    for preset in ("fig2", "fig3", "fig5"):
+        out = tmp_path / preset
+        assert main(["ensemble", "--preset", preset, "--n-traj", str(n_traj),
+                     "--out", str(out)]) == 0
+        cfg = parse_config(load_preset(preset))
+        p0, model = cli.initial_distribution(cfg), probe_model(cfg)
+        run = trajectory.run_ensemble(
+            p0, model, [[cfg.seed, i] for i in range(n_traj)],
+            max_tau=cfg.max_tau, stop_fwhm=cfg.stop_fwhm,
+            sample_interval_tau=cfg.sample_interval_tau,
+            snapshot_taus=cfg.snapshots)
+        assert (run.stops < len(run.t) - 1).any()
+        for tau, k in run.snapshot_strides:
+            _, empirical, closed = np.loadtxt(
+                out / f"m_hist_tau{tau:g}.csv", delimiter=",", skiprows=1,
+                ndmin=2).T
+            if tau > 0:
+                assert pooled_chisquare_p(empirical * n_traj,
+                                          closed * n_traj) > 0.01
+            counts = np.bincount(run.m[:, k], minlength=len(empirical))
+            assert empirical.tolist() == (counts / n_traj).tolist()
 
 
 def config_text(config: dict) -> str:

@@ -6,10 +6,11 @@ from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import ProbeModel, transient_amplitude
 from latticemc.oracle import (CutoffError, JointState, apply_jump,
                               compare_with_exact, compositions,
-                              evolve_nonhermitian, mott_joint_state,
-                              run_script, superfluid_joint_state, z_marginal)
+                              evolve_nonhermitian, run_script,
+                              superfluid_joint_state, z_marginal)
 from latticemc.states import ZDistribution, superfluid_atom_number
 from latticemc.trajectory import exact_distribution
+from reference import mott_joint_state
 
 
 def coherent_amplitudes(alpha, n_max):

@@ -3,8 +3,8 @@ import pytest
 
 from latticemc.geometry import Scenario
 from latticemc.optics import ProbeModel
-from latticemc.purity import (CatMixture, density_matrix, purity,
-                              purity_sweep)
+from latticemc.purity import purity, purity_sweep
+from reference import CatMixture, density_matrix
 
 
 def trans_model(u11=1.0, kappa=1.0):

@@ -18,10 +18,9 @@ from latticemc.trajectory import (ClassificationError, FinalState,
                                   NumericalAbort, _basin_bounds, _may_stop,
                                   _peak_widths, _peaks, _stop_rows,
                                   classify_outcome, closed_form_distribution,
-                                  exact_distribution, predicted_widths,
-                                  run_trajectory)
+                                  exact_distribution, run_trajectory)
 from reference import (TrajectoryState, fwhm_of_peak, gaussian_approximation,
-                       jump, log_intensity, no_count_step)
+                       jump, log_intensity, no_count_step, predicted_widths)
 
 SPEC = LatticeSpec(100, 100, 50)
 
@@ -449,8 +448,7 @@ def _product_rows(n, rng):
                 operands, bound = trajectory._log_weight_operands(p, table,
                                                                   kappa)
                 out.append((rows @ operands, rows @ bound,
-                            trajectory._reweighted(p, trajectory._log_factor(
-                                table, kappa, mm, t))))
+                            trajectory._posteriors(p, table, kappa, mm, t)))
     return [np.concatenate(parts) for parts in zip(*out)]
 
 
@@ -533,20 +531,20 @@ def test_may_stop_passes_a_neighbour_that_ties_after_the_exponential():
 
 
 def test_reweighted_row_subset_equals_block_subset():
-    """The posterior of some rows is bit for bit those rows of the block's,
-    as the stop check takes it on the prefiltered rows only."""
+    """The `_posteriors` of some (m, t) rows are bit for bit those rows of
+    the block's, as the stop check takes them on the prefiltered rows only."""
     cfg = parse_config(load_preset("fig3"))
     p0, model = initial_distribution(cfg), probe_model(cfg)
     table = amplitude_table(model, p0.z_values)
     rng = np.random.default_rng(61)
     m = np.cumsum(rng.poisson(3.0, size=128))
     t = np.cumsum(rng.uniform(0.0, 2.0, size=128))
-    log_factor = trajectory._log_factor(table, model.kappa, m, t)
-    block = trajectory._reweighted(p0.probabilities, log_factor)
+    block = trajectory._posteriors(p0.probabilities, table, model.kappa, m, t)
     for rows in (np.arange(128), np.array([0]), np.array([127]),
                  np.sort(rng.choice(128, size=17, replace=False)),
                  np.array([5, 6, 7, 100])):
-        sub = trajectory._reweighted(p0.probabilities, log_factor[rows])
+        sub = trajectory._posteriors(p0.probabilities, table, model.kappa,
+                                     m[rows], t[rows])
         assert sub.tobytes() == block[rows].tobytes()
 
 
@@ -715,14 +713,56 @@ def test_run_ensemble_members_stop_in_different_blocks():
     p, z = p0.probabilities, p0.z_values.astype(float)
     blocks = set()
     for counts, k in zip(run.m, run.stops.tolist()):
-        stop = _stop_rows(trajectory._reweighted(p, trajectory._log_factor(
-            table, model.kappa, counts[1:], run.t[1:])), z, cfg.stop_fwhm,
+        stop = _stop_rows(trajectory._posteriors(
+            p, table, model.kappa, counts[1:], run.t[1:]), z, cfg.stop_fwhm,
             trajectory.PEAK_WEIGHT_THRESHOLD)
         assert k == (1 + int(np.argmax(stop)) if stop.any()
                      else len(run.t) - 1)
         blocks.add((k - 1) // trajectory._BLOCK_STRIDES
                    if stop.any() else None)
     assert None in blocks and len(blocks - {None}) >= 2
+
+
+def _ensemble_bytes(p0, model, seeds, kwargs):
+    """Stops, counts, final posteriors and every member's samples and
+    snapshots to its stop, as values, bytes and text."""
+    run = trajectory.run_ensemble(p0, model, seeds, **kwargs)
+    members = []
+    for counts, k, st in zip(run.m, run.stops.tolist(), run.final_states):
+        rec = trajectory.RunRecord(
+            m=counts[:k + 1], t=run.t, p0=p0, model=model, final_state=st,
+            outcome=None, snapshot_strides={
+                s: j for s, j in run.snapshot_strides if j <= k}, seed=None)
+        members.append((repr(rec.samples), st.dist.probabilities.tobytes(),
+                        {s: d.probabilities.tobytes()
+                         for s, d in rec.snapshots.items()}))
+    return run.stops.tolist(), run.m.tobytes(), members
+
+
+def test_no_output_bit_depends_on_the_block_sizes(monkeypatch):
+    """Stops, final posteriors, samples and snapshots are the same bytes
+    under any strides per block, rows per log-weight product and rows per
+    exact check: fig2, fig3, fig5 and the maximum and minimum configs,
+    8 members each."""
+    cases = [parse_config(load_preset(name))
+             for name in ("fig2", "fig3", "fig5")]
+    cases += [parse_config(_SCENARIO_CONFIG.format(
+        scenario=scenario, n_illuminated=n_illuminated, stop_fwhm=stop_fwhm))
+        for scenario, n_illuminated, stop_fwhm in (("maximum", 50, 0.3),
+                                                   ("minimum", 100, 0.4))]
+    cases = [_config_runs(cfg) for cfg in cases]
+    seeds = [[12, i] for i in range(8)]
+    want = [_ensemble_bytes(p0, model, seeds, kwargs)
+            for p0, model, kwargs in cases]
+    # some members stop inside the first block, some later, some never
+    stops = [k for run_stops, _, _ in want for k in run_stops]
+    assert min(stops) < 128 < max(stops)
+    for sizes in ((1, 7, 1), (7, 3, 5), (1000, 4096, 1000), (64, 1, 2)):
+        for name, size in zip(("_BLOCK_STRIDES", "_PRODUCT_ROWS",
+                               "_EXACT_ROWS"), sizes):
+            monkeypatch.setattr(trajectory, name, size)
+        for (p0, model, kwargs), runs in zip(cases, want):
+            assert _ensemble_bytes(p0, model, seeds, kwargs) == runs, sizes
 
 
 def test_peak_collapse_width_point_mass_vanishes():
@@ -1032,8 +1072,8 @@ def test_run_trajectory_snapshot_strides_stop_with_the_run():
 
 def _eager_record(p0, model, rec, cfg):
     """Samples and snapshots as computed eagerly before they became lazy:
-    every count redrawn from the seed, the posteriors of whole 128-stride
-    blocks of the real record, sliced at the stop."""
+    every count redrawn from the seed, the posteriors of the whole record
+    at once and their moments row by row, sliced at the stop."""
     rng = np.random.default_rng(rec.seed)
     table = amplitude_table(model, p0.z_values)
     c2 = abs(table.c_constant) ** 2
@@ -1047,13 +1087,11 @@ def _eager_record(p0, model, rec, cfg):
     moments = np.array([z, z * z, lam, lam * lam]).T
     dark = lam == 0
     log_lam = np.log(lam, out=np.zeros(len(lam)), where=~dark)
-    last, blocks = len(rec.m) - 1, []
-    for start in range(0, last + 1, 128):
-        block = slice(start, start + 128)
-        log_factor = np.outer(m[block], log_lam) - np.outer(t[block], rates)
-        log_factor[np.ix_(m[block] > 0, dark)] = -np.inf
-        blocks.append(trajectory._reweighted(p, log_factor) @ moments)
-    mean_z, mean_z2, mean_lam, mean_lam2 = np.concatenate(blocks)[:last + 1].T
+    last = len(rec.m) - 1
+    log_factor = np.outer(m, log_lam) - np.outer(t, rates)
+    log_factor[np.ix_(m > 0, dark)] = -np.inf
+    mean_z, mean_z2, mean_lam, mean_lam2 = np.einsum(
+        "ij,jk->ik", trajectory._reweighted(p, log_factor), moments)[:last + 1].T
     q = np.divide(mean_lam2 - mean_lam**2, mean_lam * c2,
                   out=np.zeros(last + 1), where=mean_lam > 0)
     columns = (t, 2.0 * c2 * model.kappa * t, m, mean_z,
@@ -1108,8 +1146,8 @@ def test_lazy_samples_and_snapshots_equal_eager_reference():
     assert any(k < 128 for k, _ in stops)
     assert any(128 < k < end for k, end in stops)
     assert any(k == end for k, end in stops)
-    # cut anywhere, also where a block keeps one row (a matrix-vector
-    # product, whose bits differ), the last full run reads as its prefix
+    # cut anywhere, also where a block keeps one row, the last full run
+    # reads as its prefix
     for k in (1, 127, 128, 129, 256, 300):
         cut = dataclasses.replace(full, m=full.m[:k + 1])
         assert repr(cut.samples) == repr(full.samples[:k + 1])
