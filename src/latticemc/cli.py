@@ -280,15 +280,13 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path) -> int:
                    [np.arange(n_traj), *zip(*outcomes)])
 
     table = amplitude_table(model, p0.z_values)
-    c2 = abs(table.c_constant) ** 2
     for tau, k in run.snapshot_strides:  # every member's count at tau
-        samples = run.m[:, k]
-        t = tau / (2.0 * c2 * model.kappa)
-        closed = photostats.photocount_distribution(p0, table, model.kappa, t)
+        closed = photostats.photocount_distribution(p0, table, model.kappa,
+                                                    run.t[k])
         _write_columns(out_dir / f"m_hist_tau{tau:g}.csv",
                        ["m", "empirical_probability",
                         "closed_form_probability"],
-                       _m_histogram(samples, closed.probabilities))
+                       _m_histogram(run.m[:, k], closed.probabilities))
     return EXIT_OK
 
 
@@ -365,18 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--preset", choices=PRESET_NAMES)
         p.add_argument("--out", type=Path, default=Path("out"),
                        help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
 
     p_traj = sub.add_parser("trajectory", help="run a single trajectory")
-    common(p_traj)
-    p_traj.add_argument("--snapshots", type=str, default=None,
-                        help="comma-separated tau values for p(z) dumps")
-
     p_ens = sub.add_parser("ensemble", help="run many trajectories")
-    common(p_ens)
     p_ens.add_argument("--n-traj", type=int, default=None)
-    p_ens.add_argument("--snapshots", type=str, default=None)
+    for p in (p_traj, p_ens):
+        common(p)
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the config seed")
+        p.add_argument("--snapshots", type=str, default=None,
+                       help="comma-separated tau values for p(z) dumps")
 
     p_pur = sub.add_parser("purity-sweep", help="purity vs doublet splitting")
     common(p_pur)

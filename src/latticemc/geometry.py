@@ -33,7 +33,7 @@ class Scenario(Enum):
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Atom / site / illumination counts and the lattice period.
+    """Atom / site / illumination counts.
 
     Illuminated sites default to the contiguous block j = 1..K; an explicit
     1-based site mask can be given instead (e.g. every second site).
@@ -42,7 +42,6 @@ class LatticeSpec:
     n_atoms: int
     n_sites: int
     n_illuminated: int
-    period: float = 1.0
     illuminated_sites: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class LatticeSpec:
             raise ValueError("n_sites must be >= 1")
         if not 1 <= self.n_illuminated <= self.n_sites:
             raise ValueError("need 1 <= n_illuminated <= n_sites")
-        if self.period <= 0:
-            raise ValueError("period must be > 0")
         if self.illuminated_sites is not None:
             sites = tuple(self.illuminated_sites)
             if len(sites) != self.n_illuminated:
@@ -77,8 +74,8 @@ class ModeFunction:
     """Plane-wave mode function on the lattice.
 
     kind is 'traveling' or 'standing'; projected_wavenumber is
-    k_x = |k| sin(theta); phase is site-independent (plane-wave
-    approximation).
+    k_x = |k| sin(theta) in units of 1/d; phase is site-independent
+    (plane-wave approximation).
     """
 
     kind: str
@@ -102,12 +99,12 @@ class ScenarioGeometry:
 def mode_value(mode: ModeFunction, site_index: int, spec: LatticeSpec) -> complex:
     """Mode function u(r_j) at site j (1-based).
 
-    exp(i(j k_x d + phi)) for traveling waves, cos(j k_x d + phi) for
-    standing waves.
+    exp(i(j k_x + phi)) for traveling waves, cos(j k_x + phi) for standing
+    waves (k_x in units of 1/d).
     """
     if not 1 <= site_index <= spec.n_sites:
         raise IndexError(f"site index {site_index} outside 1..{spec.n_sites}")
-    arg = site_index * mode.projected_wavenumber * spec.period + mode.phase
+    arg = site_index * mode.projected_wavenumber + mode.phase
     if mode.kind == "traveling":
         return complex(np.exp(1j * arg))
     return complex(np.cos(arg))
@@ -148,6 +145,6 @@ def scenario_geometry(scenario: Scenario, spec: LatticeSpec) -> ScenarioGeometry
                              "(all sites illuminated)")
         # transverse probe, cavity standing wave along the lattice with
         # cos(j pi + pi) = (-1)^(j+1) at site j
-        cavity = ModeFunction("standing", np.pi / spec.period, np.pi)
+        cavity = ModeFunction("standing", np.pi, np.pi)
         return ScenarioGeometry(tuple(range(-n, n + 1, 2)), flat, cavity)
     raise ValueError(f"unknown scenario {scenario!r}")

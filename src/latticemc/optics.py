@@ -9,7 +9,7 @@ rotating at the probe frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -67,8 +67,7 @@ class ProbeModel:
 
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """Steady amplitudes alpha_z on the z grid, read-only: `amplitude_table`
-    hands every caller of a (model, grid) the same table."""
+    """Steady amplitudes alpha_z on the z grid, read-only."""
 
     z_values: np.ndarray
     alpha: np.ndarray
@@ -109,12 +108,7 @@ def steady_amplitude(model: ProbeModel, z) -> complex | np.ndarray:
 
 
 def amplitude_table(model: ProbeModel, z_grid) -> AmplitudeTable:
-    return _amplitude_table(model, np.asarray(z_grid, dtype=int).tobytes())
-
-
-@lru_cache(maxsize=32)
-def _amplitude_table(model: ProbeModel, z_bytes: bytes) -> AmplitudeTable:
-    z = np.frombuffer(z_bytes, dtype=int)
+    z = np.asarray(z_grid, dtype=int)
     return AmplitudeTable(z, steady_amplitude(model, z), model.c_constant)
 
 

@@ -8,6 +8,7 @@ trajectory engine on tiny systems; never meant to scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -32,14 +33,8 @@ class CutoffError(RuntimeError):
 
 def compositions(n_atoms: int, n_sites: int) -> list[tuple[int, ...]]:
     """All occupation vectors of n_atoms over n_sites, lexicographic."""
-    if n_sites == 1:
-        return [(n_atoms,)]
-    out = []
-    for first in range(n_atoms + 1):
-        for rest in compositions(n_atoms - first, n_sites - 1):
-            out.append((first,) + rest)
-    out.sort()
-    return out
+    return [q for q in itertools.product(range(n_atoms + 1), repeat=n_sites)
+            if sum(q) == n_atoms]
 
 
 @dataclass(frozen=True)
@@ -113,27 +108,13 @@ def _config_couplings(state: JointState, model: ProbeModel, spec: LatticeSpec
     return model.u11 * d11 - model.delta_p, model.u10 * model.a0 * d10
 
 
-def _derivative(amp: np.ndarray, delta: np.ndarray, g: np.ndarray,
-                eta: complex, kappa: float) -> np.ndarray:
-    """Right-hand side of the rotating-frame non-Hermitian Schroedinger eq."""
-    n_max = amp.shape[1] - 1
-    n = np.arange(n_max + 1, dtype=float)
-    sq = np.sqrt(n)
-    lower = np.zeros_like(amp)  # (a c)_n = sqrt(n+1) c_{n+1}
-    lower[:, :-1] = sq[1:][None, :] * amp[:, 1:]
-    raise_ = np.zeros_like(amp)  # (a+ c)_n = sqrt(n) c_{n-1}
-    raise_[:, 1:] = sq[1:][None, :] * amp[:, :-1]
-    out = (-1j * delta[:, None] - kappa) * n[None, :] * amp
-    out += -1j * (np.conj(g)[:, None] * lower + g[:, None] * raise_)
-    out += -np.conj(eta) * lower + eta * raise_
-    return out
-
-
 def evolve_nonhermitian(state: JointState, model: ProbeModel,
                         spec: LatticeSpec, duration: float) -> JointState:
     """Advance the unnormalized joint state by `duration` (exact propagator).
 
-    One stacked `expm` of every configuration's photon-ladder generator.
+    One stacked `expm` of every configuration's photon-ladder generator
+    -(i delta_q + kappa) a+ a - i (g_q* a + g_q a+) - eta* a + eta a+, the
+    rotating-frame non-Hermitian Schroedinger equation's right-hand side.
     Raises CutoffError when the topmost photon level holds more than the
     allowed tail mass; retry with a larger n_max.
     """
@@ -142,11 +123,15 @@ def evolve_nonhermitian(state: JointState, model: ProbeModel,
     if duration == 0:
         return state
     delta, g = _config_couplings(state, model, spec)
-    k = state.n_max + 1  # row q*k + j of `cols`: generator of config q on |j>
-    cols = _derivative(np.tile(np.eye(k, dtype=complex), (len(delta), 1)),
-                       np.repeat(delta, k), np.repeat(g, k), model.eta,
-                       model.kappa)
-    prop = expm(cols.reshape(-1, k, k).transpose(0, 2, 1) * duration)
+    n = np.arange(state.n_max + 1)
+    sq = np.sqrt(n[1:])
+    gen = np.zeros((len(delta), len(n), len(n)), dtype=complex)
+    gen[:, n, n] = (-1j * delta[:, None] - model.kappa) * n
+    # <n-1| a |n> = <n| a+ |n-1> = sqrt(n)
+    gen[:, n[:-1], n[1:]] = (-1j * np.conj(g)[:, None] * sq
+                             - np.conj(model.eta) * sq)
+    gen[:, n[1:], n[:-1]] = -1j * g[:, None] * sq + model.eta * sq
+    prop = expm(gen * duration)
     out = replace(state, amplitudes=np.einsum("qij,qj->qi", prop,
                                               state.amplitudes))
     if out.photon_tail_fraction() > _TAIL_BOUND:

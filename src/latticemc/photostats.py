@@ -15,7 +15,7 @@ from .optics import AmplitudeTable
 from .states import ZDistribution
 
 _TAIL_BOUND = 1e-10
-_START_SDS = 10.0  # truncation starts this many sds past the largest rate
+_START_SDS = 10.0  # truncation lies this many sds past the largest rate
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,12 @@ def poisson_mixture(rates: np.ndarray, weights: np.ndarray
 
     Poisson terms use log factorials; each z adds them only over rate +-
     (40 sqrt(rate) + 40), beyond which they underflow.  The truncation point
-    starts _START_SDS sds past the largest rate and doubles until it holds.
-    The terms are normalised over that whole range, and the support ends at
-    the first n where their running sum reaches its final value: the terms
-    past it do not change the sum in double precision.
+    lies _START_SDS sds past the largest rate, plus 20, where a Chernoff
+    bound puts every z's tail below e^-50; so a mass short of 1 by the
+    tail bound means weights that do not sum to 1, and raises.  The terms
+    are normalised over that whole range, and the support ends at the first
+    n where their running sum reaches its final value: the terms past it do
+    not change the sum in double precision.
     """
     rates = np.asarray(rates, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -70,22 +72,18 @@ def poisson_mixture(rates: np.ndarray, weights: np.ndarray
     reach = 40.0 * np.sqrt(rates) + 40.0
     lows = np.maximum(np.floor(rates - reach), 0.0).astype(int)
     highs = np.ceil(rates + reach).astype(int) + 1
-    while True:
-        n = np.arange(n_max + 1)
-        log_factorial = gammaln(n + 1.0)
-        p = np.zeros(n_max + 1)
-        for rate, w, lo, hi in zip(rates, weights, lows, highs):
-            if w == 0 or rate == 0:
-                p[0] += w
-                continue
-            k = n[lo:hi]
-            p[lo:hi] += w * np.exp(k * np.log(rate) - rate
-                                   - log_factorial[lo:hi])
-        if 1.0 - p.sum() < _TAIL_BOUND:
-            break
-        if n_max >= highs.max(initial=0):  # no term is left to add
-            raise ValueError(f"weights sum to {weights.sum()!r}, not 1")
-        n_max *= 2
+    n = np.arange(n_max + 1)
+    log_factorial = gammaln(n + 1.0)
+    p = np.zeros(n_max + 1)
+    for rate, w, lo, hi in zip(rates, weights, lows, highs):
+        if w == 0 or rate == 0:
+            p[0] += w
+            continue
+        k = n[lo:hi]
+        p[lo:hi] += w * np.exp(k * np.log(rate) - rate - log_factorial[lo:hi])
+    if not 1.0 - p.sum() < _TAIL_BOUND:
+        raise ValueError(f"mass {p.sum()!r} up to n = {n_max}: weights sum "
+                         f"to {weights.sum()!r}, not 1")
     p = p / p.sum()
     running = np.cumsum(p)
     stop = int(np.searchsorted(running, running[-1])) + 1

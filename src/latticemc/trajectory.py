@@ -23,7 +23,7 @@ its own: the block sizes set speed and memory, never an output bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -77,12 +77,13 @@ class FinalState(NamedTuple):
 
 
 class Ensemble(NamedTuple):
-    """Members' count records to the horizon over the grid times t, in seed
-    order, each member's stop stride and `FinalState` there, and the
-    (snapshot tau, stride) pairs of the grid."""
+    """Members' count records to the horizon over the grid times t (and
+    their tau), in seed order, each member's stop stride and `FinalState`
+    there, and the (snapshot tau, stride) pairs of the grid."""
 
     m: np.ndarray
     t: np.ndarray
+    tau: np.ndarray
     stops: np.ndarray
     final_states: list[FinalState]
     snapshot_strides: tuple
@@ -104,6 +105,7 @@ class RunRecord:
 
     m: np.ndarray  # counts at strides 0..stop
     t: np.ndarray  # times of every stride of the recording grid
+    tau: np.ndarray  # the same strides' tau
     p0: ZDistribution
     model: ProbeModel
     final_state: FinalState
@@ -115,21 +117,23 @@ class RunRecord:
     def samples(self) -> list[Sample]:
         """Per-stride observables of the posterior, strides 0..stop."""
         table = amplitude_table(self.model, self.p0.z_values)
-        kappa = self.model.kappa
-        c2, n, b = abs(table.c_constant) ** 2, len(self.m), _BLOCK_STRIDES
+        c2, n = abs(table.c_constant) ** 2, len(self.m)
         z, lam = self.p0.z_values.astype(float), table.intensity
-        moments = np.array([z, z * z, lam, lam * lam]).T
-        t = self.t[:n]
-        # einsum sums each row alone, unlike a BLAS product
-        mean_z, mean_z2, mean_lam, mean_lam2 = np.concatenate([
-            np.einsum("ij,jk->ik", _posteriors(
-                self.p0.probabilities, table, kappa, self.m[i:i + b],
-                t[i:i + b]), moments)
-            for i in range(0, n, b)]).T
+        moments = np.array([z, lam, lam * lam]).T
+        t, b, blocks = self.t[:n], _BLOCK_STRIDES, []
+        for i in range(0, n, b):
+            post = _posteriors(self.p0.probabilities, table, self.model.kappa,
+                               self.m[i:i + b], t[i:i + b])
+            # einsum sums each row alone, unlike a BLAS product; the
+            # variance is taken about the row's mean, so it does not cancel
+            mean_z, mean_lam, mean_lam2 = np.einsum("ij,jk->ik", post,
+                                                    moments).T
+            blocks.append((mean_z, mean_lam, mean_lam2, np.einsum(
+                "ij,ij->i", post, (z - mean_z[:, None]) ** 2)))
+        mean_z, mean_lam, mean_lam2, var_z = np.concatenate(blocks, axis=1)
         q = np.divide(mean_lam2 - mean_lam**2, mean_lam * c2,
                       out=np.zeros(n), where=mean_lam > 0)
-        columns = (t, 2.0 * c2 * kappa * t, self.m, mean_z,
-                   np.sqrt(np.maximum(mean_z2 - mean_z**2, 0.0)),
+        columns = (t, self.tau[:n], self.m, mean_z, np.sqrt(var_z),
                    mean_lam / c2, q)
         return list(map(Sample, *(c.tolist() for c in columns)))
 
@@ -203,6 +207,8 @@ def classify_outcome(state: FinalState, model: ProbeModel) -> OutcomeReport:
         if len(peaks) > 2:
             raise ClassificationError(f"{len(peaks)} peaks in minimum scenario")
         z_top = int(z[max(peaks, key=lambda i: abs(z[i]))])
+        if z_top == 0:  # one peak, at the dark z = 0
+            return OutcomeReport("singlet", z1=0)
         z1, z2 = abs(z_top), -abs(z_top)
         w1 = float(p[np.searchsorted(z, z1)])
         w2 = float(p[np.searchsorted(z, z2)])
@@ -467,14 +473,13 @@ def stop_strides(p0: ZDistribution, table: AmplitudeTable, kappa: float,
     return last
 
 
-@lru_cache(maxsize=32)
 def _recording_grid(max_tau: float, sample_interval_tau: float | None,
-                    snapshot_taus: tuple) -> tuple[np.ndarray, tuple]:
-    """The strides' tau grid (read-only), and (snapshot tau, stride) pairs.
+                    snapshot_taus) -> tuple[np.ndarray, tuple]:
+    """The strides' tau grid, and (snapshot tau, stride) pairs.
 
     A snapshot within `isclose` of an even-grid point or of another
     snapshot shares its stride, at the snapshot's own tau (stride 0 stays
-    at 0).  Cached: an ensemble's members build it once.
+    at 0).
     """
     if sample_interval_tau is None:
         sample_interval_tau = max_tau / 400.0
@@ -489,7 +494,6 @@ def _recording_grid(max_tau: float, sample_interval_tau: float | None,
     taus = points[np.concatenate(([True], ~merged))]
     taus[stride[is_snap]] = points[is_snap]
     taus[0] = 0.0
-    taus.flags.writeable = False
     return taus, tuple(zip(points[is_snap].tolist(), stride[is_snap].tolist()))
 
 
@@ -513,17 +517,17 @@ def run_ensemble(p0: ZDistribution, model: ProbeModel, seeds, *,
     if c2 <= 0:
         raise ValueError("zero drive: the dimensionless time is undefined")
     taus, snap_strides = _recording_grid(max_tau, sample_interval_tau,
-                                         tuple(snapshot_taus))
+                                         snapshot_taus)
     t = taus * (1.0 / (2.0 * c2 * model.kappa))
     m = sample_counts(p0, table, model.kappa, t, seeds)
     stops = stop_strides(p0, table, model.kappa, m, t, stop_fwhm)
     m_end, t_end = m[np.arange(len(m)), stops], t[stops]
     dists = _posteriors(p0.probabilities, table, model.kappa, m_end, t_end)
-    final_states = [FinalState(p0.with_probabilities(p), mk, tk,
-                               2.0 * c2 * model.kappa * tk)
-                    for p, mk, tk in zip(dists, m_end.tolist(),
-                                         t_end.tolist())]
-    return Ensemble(m, t, stops, final_states, snap_strides)
+    final_states = [FinalState(p0.with_probabilities(p), mk, tk, sk)
+                    for p, mk, tk, sk in zip(dists, m_end.tolist(),
+                                             t_end.tolist(),
+                                             taus[stops].tolist())]
+    return Ensemble(m, t, taus, stops, final_states, snap_strides)
 
 
 def run_trajectory(p0: ZDistribution, model: ProbeModel, *, seed,
@@ -532,7 +536,7 @@ def run_trajectory(p0: ZDistribution, model: ProbeModel, *, seed,
     run = run_ensemble(p0, model, [seed], **kwargs)
     k, final_state = int(run.stops[0]), run.final_states[0]
     return RunRecord(
-        m=run.m[0, :k + 1], t=run.t, p0=p0, model=model,
+        m=run.m[0, :k + 1], t=run.t, tau=run.tau, p0=p0, model=model,
         final_state=final_state, outcome=classify_outcome(final_state, model),
         snapshot_strides={s: j for s, j in run.snapshot_strides if j <= k},
         seed=seed)

@@ -532,6 +532,87 @@ def test_initial_state_file_roundtrip(tmp_path):
                  "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("command", ["oracle-check", "purity-sweep"])
+def test_seed_flag_is_only_for_sampling_commands(tmp_path, command):
+    """`oracle-check` and `purity-sweep` draw nothing, so `--seed` is a
+    usage error there (exit 2)."""
+    preset = ["--preset", "fig6"] if command == "purity-sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *preset, "--seed", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+MINIMUM = """
+scenario = minimum
+n_atoms = 100
+n_sites = 100
+n_illuminated = 100
+kappa = 1.0
+drive_scale = 1.0
+max_tau = 30
+seed = 5
+stop_fwhm = 0.5
+"""
+
+
+def test_minimum_collapse_onto_dark_z_is_a_singlet_row(tmp_path):
+    """A member with no count has collapsed onto the dark z = 0: its row is
+    a singlet at z1 = 0, and every other row a doublet z1 = -z2 > 0."""
+    out = tmp_path / "out"
+    assert main(["ensemble", "--config", str(write(tmp_path, MINIMUM)),
+                 "--n-traj", "40", "--out", str(out)]) == 0
+    with open(out / "ensemble_outcomes.csv", newline="") as fh:
+        rows = [(r["kind"], r["z1"], r["z2"], r["m"])
+                for r in csv.DictReader(fh)]
+    dark = [r for r in rows if r[3] == "0"]
+    assert dark and all(r[:3] == ("singlet", "0", "") for r in dark)
+    assert all(kind == "doublet" and int(z1) == -int(z2) > 0
+               for kind, z1, z2, m in rows if m != "0")
+    summary = json.loads((out / "ensemble_summary.json").read_text())
+    assert summary["outcomes"]["singlet"] == len(dark)
+
+
+def test_written_tau_is_a_grid_tau(tmp_path):
+    """At drive_scale 0.3 on fig2 (2 kappa |C|^2 = 0.18), every tau that
+    `ensemble` and `trajectory` write is a tau of the recording grid, and
+    each m_hist closed-form column is `photocount_distribution` at its
+    stride's time t, bit for bit."""
+    text = load_preset("fig2").replace("drive_scale = 1.0", "drive_scale = 0.3")
+    cfg_path, cfg, n_traj = write(tmp_path, text), parse_config(text), 50
+    assert cfg.drive_scale == 0.3
+    p0, model = cli.initial_distribution(cfg), probe_model(cfg)
+    table = amplitude_table(model, p0.z_values)
+    taus = trajectory._recording_grid(cfg.max_tau, cfg.sample_interval_tau,
+                                      cfg.snapshots)[0].tolist()
+    run = trajectory.run_ensemble(
+        p0, model, [[cfg.seed, i] for i in range(n_traj)],
+        max_tau=cfg.max_tau, stop_fwhm=cfg.stop_fwhm,
+        sample_interval_tau=cfg.sample_interval_tau,
+        snapshot_taus=cfg.snapshots)
+    out = tmp_path / "ensemble"
+    assert main(["ensemble", "--config", str(cfg_path), "--n-traj",
+                 str(n_traj), "--out", str(out)]) == 0
+    with open(out / "ensemble_outcomes.csv", newline="") as fh:
+        written = [float(r["tau"]) for r in csv.DictReader(fh)]
+    assert written == [taus[k] for k in run.stops]
+    for tau, k in run.snapshot_strides:
+        with open(out / f"m_hist_tau{tau:g}.csv", newline="") as fh:
+            closed = [float(r["closed_form_probability"])
+                      for r in csv.DictReader(fh)]
+        law = photocount_distribution(p0, table, model.kappa, run.t[k])
+        n = len(law.probabilities)
+        assert closed[:n] == law.probabilities.tolist()
+        assert not any(closed[n:])
+    out = tmp_path / "trajectory"
+    assert main(["trajectory", "--config", str(cfg_path), "--out",
+                 str(out)]) == 0
+    with open(out / "trajectory.csv", newline="") as fh:
+        written = [float(r["tau"]) for r in csv.DictReader(fh)]
+    assert written == taus[:len(written)]
+    outcome = json.loads((out / "trajectory_outcome.json").read_text())
+    assert outcome["tau"] == written[-1]
+
+
 def test_oracle_check_command(tmp_path):
     out = tmp_path / "out"
     rc = main(["oracle-check", "--out", str(out)])

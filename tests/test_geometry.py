@@ -176,10 +176,10 @@ def test_site_mask():
 
 @pytest.mark.parametrize("spec", [
     LatticeSpec(3, 2, 1), LatticeSpec(4, 4, 4),
-    LatticeSpec(5, 4, 4, period=0.5),
+    LatticeSpec(5, 4, 4),
     LatticeSpec(4, 4, 2, illuminated_sites=(1, 3)),
     LatticeSpec(3, 3, 2, illuminated_sites=(3, 1))],
-    ids=["N3M2K1", "N4M4K4", "N5M4K4-period0.5", "mask13-M4", "mask31-M3"])
+    ids=["N3M2K1", "N4M4K4", "N5M4K4", "mask13-M4", "mask31-M3"])
 def test_scenario_d_equals_reduced_z(spec):
     """Each scenario's D_10 is the reference z on every configuration."""
     configs = np.array(compositions(spec.n_atoms, spec.n_sites))
@@ -195,7 +195,7 @@ def test_scenario_d_equals_reduced_z(spec):
 
 def test_coupling_rows_equal_single_configurations():
     rng = np.random.default_rng(9)
-    spec = LatticeSpec(8, 5, 3, period=0.7, illuminated_sites=(5, 2, 4))
+    spec = LatticeSpec(8, 5, 3, illuminated_sites=(5, 2, 4))
     ml, mm = ModeFunction("traveling", 1.3, 0.2), ModeFunction("standing", 0.4)
     q = rng.integers(0, 4, size=(20, 5))
     rows = coupling_coefficient(q, ml, mm, spec)

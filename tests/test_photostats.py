@@ -59,10 +59,10 @@ def test_poisson_mixture_tail_truncation():
     assert d.mean == pytest.approx(200.0, abs=1e-6)
 
 
-def _dense_poisson_mixture(rates, weights, start_sds=10.0):
+def _dense_poisson_mixture(rates, weights):
     """Reference: every z's Poisson terms over the whole support at once."""
     top = rates.max(initial=0.0)
-    n_max = int(np.ceil(top + start_sds * np.sqrt(top) + 20.0))
+    n_max = int(np.ceil(top + 10.0 * np.sqrt(top) + 20.0))
     while True:
         n = np.arange(n_max + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -114,21 +114,16 @@ def test_poisson_mixture_matches_dense_reference_on_a_collapse():
         assert np.abs(got.probabilities - p).max() <= 1e-15
 
 
-def test_poisson_mixture_doubling_matches_dense_reference(monkeypatch):
-    # starting the truncation at the largest rate leaves a tail of ~0.27
+def test_poisson_mixture_raises_on_a_short_truncation(monkeypatch):
+    # truncating at the largest rate leaves a tail of ~0.27: an error, not
+    # a renormalised law
     monkeypatch.setattr(photostats, "_START_SDS", 0.0)
-    rates, weights = np.array([0.0, 1000.0]), np.array([0.25, 0.75])
-    got = poisson_mixture(rates, weights)
-    n, p = _dense_poisson_mixture(rates, weights, start_sds=0.0)
-    assert len(n) == 2 * 1020 + 1
-    n, p = _running_sum_cut(n, p)
-    assert len(n) == 1267  # past the 1021 points of the undoubled grid
-    np.testing.assert_array_equal(got.n_values, n)
-    assert np.abs(got.probabilities - p).max() <= 1e-15
+    with pytest.raises(ValueError, match="weights sum to"):
+        poisson_mixture(np.array([0.0, 1000.0]), np.array([0.25, 0.75]))
 
 
 def test_poisson_mixture_rejects_short_weights():
-    # the missing mass is nowhere on the n axis, so doubling cannot find it
+    # the missing mass is nowhere on the n axis
     with pytest.raises(ValueError, match="weights sum to"):
         poisson_mixture(np.array([3.0, 40.0]), np.array([0.5, 0.4]))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -730,7 +731,8 @@ def _ensemble_bytes(p0, model, seeds, kwargs):
     members = []
     for counts, k, st in zip(run.m, run.stops.tolist(), run.final_states):
         rec = trajectory.RunRecord(
-            m=counts[:k + 1], t=run.t, p0=p0, model=model, final_state=st,
+            m=counts[:k + 1], t=run.t, tau=run.tau, p0=p0, model=model,
+            final_state=st,
             outcome=None, snapshot_strides={
                 s: j for s, j in run.snapshot_strides if j <= k}, seed=None)
         members.append((repr(rec.samples), st.dist.probabilities.tobytes(),
@@ -932,6 +934,36 @@ def test_classify_minimum_symmetric_doublet():
     assert out.component_weights[0] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_classify_minimum_dark_collapse_is_a_singlet():
+    """With no count, a minimum-scenario state collapses onto the dark
+    z = 0: one component, not a doublet (0, 0) that counts it twice."""
+    p0 = superfluid_difference(LatticeSpec(100, 100, 100))
+    model = ProbeModel(Scenario.MINIMUM, kappa=1.0, u10=1.0, a0=1.0)
+    out = classify_outcome(state_from_counts(p0, model, m=0, tau=30.0), model)
+    assert (out.kind, out.z1, out.z2) == ("singlet", 0, None)
+    assert out.component_weights == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3", "fig5"])
+def test_width_matches_a_two_pass_fsum_reference(preset):
+    """Every stride's width is within 1e-13 (relative) of the posterior's
+    z spread taken with `math.fsum`, in two passes: the mean, then the
+    squared distances from it."""
+    cfg = parse_config(load_preset(preset))
+    p0, model = initial_distribution(cfg), probe_model(cfg)
+    rec = run_trajectory(p0, model, seed=[0], max_tau=cfg.max_tau,
+                         stop_fwhm=cfg.stop_fwhm,
+                         sample_interval_tau=cfg.sample_interval_tau)
+    post = trajectory._posteriors(
+        p0.probabilities, amplitude_table(model, p0.z_values), model.kappa,
+        rec.m, rec.t[:len(rec.m)])
+    z = p0.z_values.astype(float)
+    for row, sample in zip(post, rec.samples, strict=True):
+        mean = math.fsum(row * z)
+        want = math.sqrt(math.fsum(row * (z - mean) ** 2))
+        assert sample.width == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_classify_maximum_singlet():
     p0 = superfluid_atom_number(SPEC)
     model = max_model()
@@ -1084,18 +1116,18 @@ def _eager_record(p0, model, rec, cfg):
     rates = 2.0 * model.kappa * lam
     m = np.concatenate(([0], np.cumsum(rng.poisson(
         rates[rng.choice(len(p), p=p)] * np.diff(t)))))
-    moments = np.array([z, z * z, lam, lam * lam]).T
+    moments = np.array([z, lam, lam * lam]).T
     dark = lam == 0
     log_lam = np.log(lam, out=np.zeros(len(lam)), where=~dark)
     last = len(rec.m) - 1
     log_factor = np.outer(m, log_lam) - np.outer(t, rates)
     log_factor[np.ix_(m > 0, dark)] = -np.inf
-    mean_z, mean_z2, mean_lam, mean_lam2 = np.einsum(
-        "ij,jk->ik", trajectory._reweighted(p, log_factor), moments)[:last + 1].T
+    post = trajectory._reweighted(p, log_factor)[:last + 1]
+    mean_z, mean_lam, mean_lam2 = np.einsum("ij,jk->ik", post, moments).T
+    var_z = np.einsum("ij,ij->i", post, (z - mean_z[:, None]) ** 2)
     q = np.divide(mean_lam2 - mean_lam**2, mean_lam * c2,
                   out=np.zeros(last + 1), where=mean_lam > 0)
-    columns = (t, 2.0 * c2 * model.kappa * t, m, mean_z,
-               np.sqrt(np.maximum(mean_z2 - mean_z**2, 0.0)), mean_lam / c2, q)
+    columns = (t, taus, m, mean_z, np.sqrt(var_z), mean_lam / c2, q)
     samples = list(map(trajectory.Sample,
                        *(c[:last + 1].tolist() for c in columns)))
     snapshots = {s: closed_form_distribution(p0, table, model.kappa,
