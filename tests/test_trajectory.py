@@ -732,8 +732,7 @@ def _ensemble_bytes(p0, model, seeds, kwargs):
     for counts, k, st in zip(run.m, run.stops.tolist(), run.final_states):
         rec = trajectory.RunRecord(
             m=counts[:k + 1], t=run.t, tau=run.tau, p0=p0, model=model,
-            final_state=st,
-            outcome=None, snapshot_strides={
+            final_state=st, outcome=None, snapshot_strides={
                 s: j for s, j in run.snapshot_strides if j <= k}, seed=None)
         members.append((repr(rec.samples), st.dist.probabilities.tobytes(),
                         {s: d.probabilities.tobytes()
