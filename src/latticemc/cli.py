@@ -201,27 +201,36 @@ def load_preset(name: str) -> str:
 _CSV_CHUNK_ROWS = 1 << 16
 
 
-def _format_column(values: np.ndarray) -> list[str]:
-    """The text of every entry of a 1-D array: integers in decimal, floats
+def _conversion(values: np.ndarray) -> str:
+    """The `%` conversion of a column's entries: integers in decimal, floats
     at 17 significant digits (exact round trip), strings as they are."""
     if np.issubdtype(values.dtype, np.integer):
-        return list(map(str, values.tolist()))
+        return "%d"
     if np.issubdtype(values.dtype, np.floating):
-        return ["%.17g" % v for v in values.tolist()]
-    return values.tolist()
+        return "%.17g"
+    return "%s"
 
 
 def _write_columns(path: Path, header: list[str], columns):
     """Write equal-length integer, float or string columns as CSV, a chunk
-    of rows at a time."""
+    of rows at a time: one `%` over the chunk's row template and its cells,
+    interleaved row by row."""
     columns = [np.asarray(c) for c in columns]
-    n_rows = len(columns[0]) if columns else 0
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns {header} have unequal lengths {lengths}")
+    n_rows = lengths[0] if columns else 0
+    row = ",".join(map(_conversion, columns)) + "\n"
+    width = len(columns)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            texts = [_format_column(c[start:stop]) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            chunk = [c[start:start + _CSV_CHUNK_ROWS].tolist()
+                     for c in columns]
+            cells = [None] * (len(chunk[0]) * width)
+            for j, values in enumerate(chunk):
+                cells[j::width] = values
+            fh.write(row * len(chunk[0]) % tuple(cells))
 
 
 def write_record(record: RunRecord, out_dir: Path, config: dict):
@@ -391,7 +400,7 @@ def _load_config(args) -> RunConfig:
                        else args.config.read_text())
     flags = {k: v for k in ("seed", "n_traj")
              if (v := getattr(args, k, None)) is not None}
-    if snapshots := getattr(args, "snapshots", None):
+    if (snapshots := getattr(args, "snapshots", None)) is not None:
         try:
             flags["snapshots"] = _parse_number_list(snapshots, float)
         except ValueError as exc:

@@ -16,6 +16,7 @@ from .states import ZDistribution
 
 _TAIL_BOUND = 1e-10
 _START_SDS = 10.0  # truncation lies this many sds past the largest rate
+_MIXTURE_TERMS = 1 << 10  # Poisson terms one run of windows sums at once
 
 
 @dataclass(frozen=True)
@@ -55,13 +56,16 @@ def poisson_mixture(rates: np.ndarray, weights: np.ndarray
     """sum_z weights[z] * Poisson(n; rates[z]), truncated to tail < 1e-10.
 
     Poisson terms use log factorials; each z adds them only over rate +-
-    (40 sqrt(rate) + 40), beyond which they underflow.  The truncation point
-    lies _START_SDS sds past the largest rate, plus 20, where a Chernoff
-    bound puts every z's tail below e^-50; so a mass short of 1 by the
-    tail bound means weights that do not sum to 1, and raises.  The terms
-    are normalised over that whole range, and the support ends at the first
-    n where their running sum reaches its final value: the terms past it do
-    not change the sum in double precision.
+    (40 sqrt(rate) + 40), beyond which they underflow.  A run of consecutive
+    z whose windows hold at most _MIXTURE_TERMS terms shares one `exp` and
+    one `np.add.at`, and a wider window is added as one slice; either way
+    each n's terms are added in z order, so no bit depends on the bound.
+    The truncation point lies _START_SDS sds past the largest rate, plus 20,
+    where a Chernoff bound puts every z's tail below e^-50; so a mass short
+    of 1 by the tail bound means weights that do not sum to 1, and raises.
+    The terms are normalised over that whole range, and the support ends at
+    the first n where their running sum reaches its final value: the terms
+    past it do not change the sum in double precision.
     """
     rates = np.asarray(rates, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -75,12 +79,32 @@ def poisson_mixture(rates: np.ndarray, weights: np.ndarray
     n = np.arange(n_max + 1)
     log_factorial = gammaln(n + 1.0)
     p = np.zeros(n_max + 1)
-    for rate, w, lo, hi in zip(rates, weights, lows, highs):
-        if w == 0 or rate == 0:
-            p[0] += w
+    # a zero rate or weight adds its weight to p[0]: a window of one term
+    # whose exponent is 0 - rate - 0
+    point = (weights == 0) | (rates == 0)
+    lows[point] = 0
+    highs = np.where(point, 1, np.minimum(highs, n_max + 1))
+    log_rates = np.log(np.where(point, 1.0, rates))
+    widths = highs - lows
+    ends = np.cumsum(widths)
+    z = 0
+    while z < len(rates):  # a run of narrow windows, or one wide window
+        start = ends[z] - widths[z]
+        stop = int(np.searchsorted(ends, start + _MIXTURE_TERMS, "right"))
+        if stop == z:
+            lo, hi = lows[z], highs[z]
+            p[lo:hi] += weights[z] * np.exp(
+                n[lo:hi] * log_rates[z] - rates[z] - log_factorial[lo:hi])
+            z += 1
             continue
-        k = n[lo:hi]
-        p[lo:hi] += w * np.exp(k * np.log(rate) - rate - log_factorial[lo:hi])
+        run, widths_run = slice(z, stop), widths[z:stop]
+        k = np.arange(ends[stop - 1] - start) + np.repeat(
+            lows[run] - (ends[run] - widths_run - start), widths_run)
+        terms = np.repeat(weights[run], widths_run) * np.exp(
+            k * np.repeat(log_rates[run], widths_run)
+            - np.repeat(rates[run], widths_run) - log_factorial[k])
+        np.add.at(p, k, terms)  # each n's terms in z order
+        z = stop
     if not 1.0 - p.sum() < _TAIL_BOUND:
         raise ValueError(f"mass {p.sum()!r} up to n = {n_max}: weights sum "
                          f"to {weights.sum()!r}, not 1")

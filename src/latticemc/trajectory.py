@@ -407,14 +407,16 @@ def sample_counts(p0: ZDistribution, table: AmplitudeTable, kappa: float,
     """Each seed's count record over the strides' times t, one row per seed.
 
     A seed's own `default_rng` draws z* ~ p0 once and every stride's count
-    in one Poisson call at the rate 2 kappa |alpha_z*|^2.
+    in one Poisson call at the rate 2 kappa |alpha_z*|^2.  z* is drawn by
+    inverting p0's cdf at one uniform, as `rng.choice(len(p), p=p)` does.
     """
-    p, dt = p0.probabilities, np.diff(t)
+    cdf, dt = p0.probabilities.cumsum(), np.diff(t)
+    cdf /= cdf[-1]
     rates = 2.0 * kappa * table.intensity
     m = np.zeros((len(seeds), len(t)), dtype=np.int64)
     for counts, seed in zip(m, seeds):
         rng = np.random.default_rng(seed)
-        rate = rates[rng.choice(len(p), p=p)]
+        rate = rates[cdf.searchsorted(rng.random(), side="right")]
         np.cumsum(rng.poisson(rate * dt), out=counts[1:])
     return m
 

@@ -4,6 +4,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import gammaln
 from scipy.stats import chisquare
 
 from latticemc.geometry import LatticeSpec, Scenario
@@ -199,3 +200,29 @@ def pooled_chisquare_p(observed_counts, expected_counts, min_expected=5.0):
     pe[-1] += ae
     pe = np.array(pe) * (sum(po) / sum(pe))
     return chisquare(po, pe).pvalue
+
+
+def poisson_mixture_per_z(rates, weights):
+    """`photostats.poisson_mixture`'s (n, p) as one slice update per z: the
+    loop that summed the mixture before runs of narrow windows shared one
+    `exp`."""
+    rates = np.asarray(rates, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    top = rates.max(initial=0.0)
+    n_max = int(np.ceil(top + 10.0 * np.sqrt(top) + 20.0))
+    reach = 40.0 * np.sqrt(rates) + 40.0
+    lows = np.maximum(np.floor(rates - reach), 0.0).astype(int)
+    highs = np.ceil(rates + reach).astype(int) + 1
+    n = np.arange(n_max + 1)
+    log_factorial = gammaln(n + 1.0)
+    p = np.zeros(n_max + 1)
+    for rate, w, lo, hi in zip(rates, weights, lows, highs):
+        if w == 0 or rate == 0:
+            p[0] += w
+            continue
+        k = n[lo:hi]
+        p[lo:hi] += w * np.exp(k * np.log(rate) - rate - log_factorial[lo:hi])
+    p = p / p.sum()
+    running = np.cumsum(p)
+    stop = int(np.searchsorted(running, running[-1])) + 1
+    return n[:stop], p[:stop]

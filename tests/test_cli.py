@@ -445,6 +445,25 @@ def test_column_writer_empty(tmp_path):
             == (tmp_path / "rows.csv").read_bytes() == b"a,b\n")
 
 
+def test_column_writer_rejects_unequal_lengths(tmp_path):
+    # a row per cell of the shortest column would drop the others' tails
+    with pytest.raises(ValueError, match=r"unequal lengths \[3, 2, 3\]"):
+        cli._write_columns(tmp_path / "cols.csv", ["a", "b", "c"],
+                           [np.arange(3), np.zeros(2), ["x", "y", "z"]])
+    assert not (tmp_path / "cols.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["", " "])
+def test_blank_snapshots_flag_clears_the_config_snapshots(tmp_path, flag):
+    """Any `--snapshots` value overrides the config's, a blank one too:
+    fig2's four snapshots are neither written nor echoed."""
+    assert main(["ensemble", "--preset", "fig2", "--n-traj", "2",
+                 "--snapshots", flag, "--out", str(tmp_path)]) == 0
+    assert not list(tmp_path.glob("m_hist_tau*.csv"))
+    summary = json.loads((tmp_path / "ensemble_summary.json").read_text())
+    assert summary["config"]["snapshots"] == []
+
+
 def test_purity_sweep_command(tmp_path):
     out = tmp_path / "out"
     rc = main(["purity-sweep", "--preset", "fig6", "--out", str(out)])

@@ -4,12 +4,15 @@ from scipy.special import gammaln
 from scipy.stats import poisson
 
 from latticemc import photostats
+from latticemc.cli import (initial_distribution, load_preset, parse_config,
+                           probe_model)
 from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import ProbeModel, amplitude_table
 from latticemc.photostats import (PhotonDistribution,
                                   photocount_distribution, poisson_mixture)
 from latticemc.states import mott_distribution, superfluid_atom_number
 from latticemc.trajectory import closed_form_distribution
+from reference import poisson_mixture_per_z
 
 SPEC = LatticeSpec(100, 100, 50)
 
@@ -112,6 +115,55 @@ def test_poisson_mixture_matches_dense_reference_on_a_collapse():
             2.0 * table.intensity * tau / 2.0, p0.probabilities))
         np.testing.assert_array_equal(got.n_values, n)
         assert np.abs(got.probabilities - p).max() <= 1e-15
+
+
+def _snapshot_mixtures(p0, model, taus):
+    """(label, rates, weights) of the photocount law at each tau."""
+    table = amplitude_table(model, p0.z_values)
+    for tau in taus:
+        t = tau / (2.0 * abs(table.c_constant) ** 2 * model.kappa)
+        yield (f"{model.scenario.value}-tau{tau:g}",
+               2.0 * model.kappa * table.intensity * t, p0.probabilities)
+
+
+def _mixture_cases(max_taus):
+    """fig2-fig5 at every snapshot time, the maximum superfluid at
+    `max_taus`, and zero rates and zero weights interleaved between narrow
+    and wide windows."""
+    cases = []
+    for name in ("fig2", "fig3", "fig4", "fig5"):
+        cfg = parse_config(load_preset(name))
+        cases += _snapshot_mixtures(initial_distribution(cfg),
+                                    probe_model(cfg), cfg.snapshots)
+    cases += _snapshot_mixtures(superfluid_atom_number(SPEC), max_model(),
+                                max_taus)
+    rates = [0.0, 3.0, 5e4, 0.0, 10.0, 2e3, 7.0, 0.0, 40.0, 300.0, 0.5, 1e5,
+             0.0, 12.0]
+    weights = np.array([1, 0, 2, 0, 2, 0, 2, 1, 2, 2, 2, 2, 1, 1]) / 18.0
+    return cases + [("mixed", np.array(rates), weights)]
+
+
+def test_poisson_mixture_equals_the_per_z_loop_bit_for_bit():
+    for label, rates, weights in _mixture_cases((0.5, 5.0, 30.0)):
+        got = poisson_mixture(rates, weights)
+        n, p = poisson_mixture_per_z(rates, weights)
+        assert got.n_values.tobytes() == n.tobytes(), label
+        assert got.probabilities.tobytes() == p.tobytes(), label
+
+
+def test_no_mixture_bit_depends_on_the_run_bound(monkeypatch):
+    """Runs of one term, of 64 terms, of the default bound and of every
+    window give the per-z loop's bits (the maximum superfluid only at
+    tau = 0.5: one run of all its 2.8e5 terms is as far as this goes)."""
+    cases = _mixture_cases((0.5,))
+    want = [poisson_mixture_per_z(rates, weights) for _, rates, weights in
+            cases]
+    for bound in (1, 64, photostats._MIXTURE_TERMS, 1 << 30):
+        monkeypatch.setattr(photostats, "_MIXTURE_TERMS", bound)
+        for (label, rates, weights), (n, p) in zip(cases, want):
+            got = poisson_mixture(rates, weights)
+            assert got.n_values.tobytes() == n.tobytes(), (bound, label)
+            assert got.probabilities.tobytes() == p.tobytes(), (bound, label)
 
 
 def test_poisson_mixture_raises_on_a_short_truncation(monkeypatch):

@@ -1002,6 +1002,37 @@ def test_classify_reads_only_dist_m_t_and_tau():
 # ------------------------------------------------------------ full runs
 
 
+def test_z_draw_by_inverse_cdf_equals_rng_choice():
+    """`sample_counts` inverts p0's cdf at one uniform, which must give
+    `rng.choice(len(p), p=p)`'s index and leave the stream where it does
+    (the next uniform agrees), whatever numpy does inside `choice`: 2000
+    seeds each for fig2's p0, the maximum and minimum superfluids and a p0
+    with 30% zero priors.  Rates 1e6 z make each record name its z*."""
+    fig2 = initial_distribution(parse_config(load_preset("fig2")))
+    p = np.where(fig2.z_values % 10 < 3, 0.0, fig2.probabilities)
+    priors = [fig2, superfluid_atom_number(SPEC),
+              superfluid_difference(LatticeSpec(100, 100, 100)),
+              ZDistribution(fig2.z_values, p / p.sum())]
+    assert np.mean(priors[-1].probabilities == 0) > 0.29
+    seeds = [[29, i] for i in range(2000)]
+    t = np.array([0.0, 1.0, 2.0])
+    for p0 in priors:
+        p = p0.probabilities
+        table = types.SimpleNamespace(intensity=1e6 * np.arange(len(p)))
+        got = trajectory.sample_counts(p0, table, 0.5, t, seeds)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        for seed, counts in zip(seeds, got):
+            rng = np.random.default_rng(seed)
+            z = rng.choice(len(p), p=p)
+            want = np.cumsum(rng.poisson(1e6 * z * np.diff(t)))
+            assert counts.tolist() == [0, *want.tolist()]
+            rng_cdf, rng = (np.random.default_rng(seed) for _ in range(2))
+            assert cdf.searchsorted(rng_cdf.random(), side="right") == \
+                rng.choice(len(p), p=p)
+            assert rng_cdf.random() == rng.random()
+
+
 def test_run_trajectory_deterministic():
     p0 = superfluid_atom_number(SPEC)
     model = max_model()

@@ -27,9 +27,10 @@ median bytes its successful operations wrote: a deterministic work counter
 that machine drift does not move.  Each pair prints it, and the summary
 gives its median over the pairs per side.  A warning is printed when
 the change fails a larger share of its operations than the base, or either
-side writes incorrect outputs.  Runs on
-another workload or seed are merged into the same file under their own
-key, "<workload>/seed<seed>".
+side writes incorrect outputs.  The change's entry lists the paths that
+differ from its commit, the output file aside.  Runs on another workload
+or seed are merged into the same file under their own key,
+"<workload>/seed<seed>".
 """
 
 from __future__ import annotations
@@ -50,6 +51,16 @@ ROOT = Path(__file__).resolve().parent.parent
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def uncommitted_changes(out: Path) -> list[str]:
+    """Paths whose working-tree state differs from HEAD: tracked files
+    changed, staged or deleted, and untracked files, but not `out`, the
+    BENCH file this run merges into."""
+    paths = (git("diff", "--name-only", "HEAD").splitlines()
+             + git("ls-files", "--others", "--exclude-standard").splitlines())
+    out = out.resolve()
+    return sorted(p for p in set(paths) if (ROOT / p).resolve() != out)
 
 
 def extract(rev: str, dest: Path):
@@ -192,8 +203,7 @@ def main(argv=None) -> int:
     entry = {"workload": args.workload, "seed": args.seed, "environment": env,
              "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
              "change": {"commit": git("rev-parse", "HEAD"),
-                        "uncommitted_changes": bool(git("status",
-                                                        "--porcelain"))}}
+                        "uncommitted_changes": uncommitted_changes(args.out)}}
     if pairs:
         entry.update(seconds=args.seconds, summary=summarise(pairs, better),
                      failures=failures(pairs),
