@@ -87,23 +87,30 @@ def poisson_mixture(rates: np.ndarray, weights: np.ndarray
     log_rates = np.log(np.where(point, 1.0, rates))
     widths = highs - lows
     ends = np.cumsum(widths)
+    starts = ends - widths
+    stops = np.searchsorted(ends, starts + _MIXTURE_TERMS, "right").tolist()
     z = 0
     while z < len(rates):  # a run of narrow windows, or one wide window
-        start = ends[z] - widths[z]
-        stop = int(np.searchsorted(ends, start + _MIXTURE_TERMS, "right"))
-        if stop == z:
+        stop = stops[z]
+        if stop == z:  # a window wider than a run: one slice
             lo, hi = lows[z], highs[z]
-            p[lo:hi] += weights[z] * np.exp(
-                n[lo:hi] * log_rates[z] - rates[z] - log_factorial[lo:hi])
+            x = n[lo:hi] * log_rates[z]
+            x -= rates[z]
+            x -= log_factorial[lo:hi]
+            np.exp(x, out=x)
+            x *= weights[z]
+            p[lo:hi] += x
             z += 1
             continue
         run, widths_run = slice(z, stop), widths[z:stop]
-        k = np.arange(ends[stop - 1] - start) + np.repeat(
-            lows[run] - (ends[run] - widths_run - start), widths_run)
-        terms = np.repeat(weights[run], widths_run) * np.exp(
-            k * np.repeat(log_rates[run], widths_run)
-            - np.repeat(rates[run], widths_run) - log_factorial[k])
-        np.add.at(p, k, terms)  # each n's terms in z order
+        k = np.arange(ends[stop - 1] - starts[z]) + np.repeat(
+            lows[run] - (starts[run] - starts[z]), widths_run)
+        x = k * np.repeat(log_rates[run], widths_run)
+        x -= np.repeat(rates[run], widths_run)
+        x -= log_factorial[k]
+        np.exp(x, out=x)
+        x *= np.repeat(weights[run], widths_run)
+        np.add.at(p, k, x)  # each n's terms in z order
         z = stop
     if not 1.0 - p.sum() < _TAIL_BOUND:
         raise ValueError(f"mass {p.sum()!r} up to n = {n_max}: weights sum "
