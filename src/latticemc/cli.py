@@ -143,12 +143,17 @@ def _check_fields(cfg: RunConfig):
         if missing:
             raise ConfigError("transmission scenario requires keys: "
                               + ", ".join(missing))
+    for key, (_, cast) in _FIELDS.items():
+        value = getattr(cfg, key)
+        if cast is float and value is not None and not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite")
     for key in ("kappa", "drive_scale", "max_tau", "sample_interval_tau",
                 "kappa_over_u11"):
         value = getattr(cfg, key)
         if value is not None and not value > 0:
             raise ConfigError(f"{key} must be > 0")
-    for key, least in (("seed", 0), ("n_traj", 1), ("delta_z_points", 1)):
+    for key, least in (("seed", 0), ("n_traj", 1), ("delta_z_points", 1),
+                       ("stop_fwhm", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be >= {least}")
     if not all(0 <= s <= cfg.max_tau for s in cfg.snapshots):

@@ -33,16 +33,12 @@ class Scenario(Enum):
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Atom / site / illumination counts.
-
-    Illuminated sites default to the contiguous block j = 1..K; an explicit
-    1-based site mask can be given instead (e.g. every second site).
-    """
+    """Atom / site / illumination counts: the probe lights the contiguous
+    block of sites j = 1..K."""
 
     n_atoms: int
     n_sites: int
     n_illuminated: int
-    illuminated_sites: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.n_atoms < 1:
@@ -51,22 +47,6 @@ class LatticeSpec:
             raise ValueError("n_sites must be >= 1")
         if not 1 <= self.n_illuminated <= self.n_sites:
             raise ValueError("need 1 <= n_illuminated <= n_sites")
-        if self.illuminated_sites is not None:
-            sites = tuple(self.illuminated_sites)
-            if len(sites) != self.n_illuminated:
-                raise ValueError("site mask length must equal n_illuminated")
-            if len(set(sites)) != len(sites):
-                raise ValueError("site mask has repeated sites")
-            if any(not 1 <= j <= self.n_sites for j in sites):
-                raise ValueError("site mask entries must lie in 1..n_sites")
-            object.__setattr__(self, "illuminated_sites", sites)
-
-    @property
-    def sites(self) -> tuple[int, ...]:
-        """1-based indices of the illuminated sites."""
-        if self.illuminated_sites is not None:
-            return self.illuminated_sites
-        return tuple(range(1, self.n_illuminated + 1))
 
 
 @dataclass(frozen=True)
@@ -122,9 +102,10 @@ def coupling_coefficient(q, mode_l: ModeFunction, mode_m: ModeFunction,
                          f"n_sites = {spec.n_sites}")
     if np.any(q < 0):
         raise ValueError("occupations must be nonnegative")
+    k = spec.n_illuminated
     weights = [np.conj(mode_value(mode_l, j, spec)) * mode_value(mode_m, j, spec)
-               for j in spec.sites]
-    d = q[..., np.array(spec.sites) - 1] @ np.array(weights)
+               for j in range(1, k + 1)]
+    d = q[..., :k] @ np.array(weights)
     return complex(d) if d.ndim == 0 else d
 
 

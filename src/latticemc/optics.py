@@ -33,7 +33,6 @@ class ProbeModel:
     a0: complex = 0.0
     eta: complex = 0.0
     delta_p: float = 0.0
-    alpha0: complex = 0.0
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -118,15 +117,15 @@ def _decay_exponent(model: ProbeModel, z: float) -> complex:
 
 
 def transient_amplitude(model: ProbeModel, z, t: float) -> complex:
-    """Cavity amplitude at finite time from the initial value alpha0.
+    """Cavity amplitude at finite time from the empty cavity, alpha(0) = 0.
 
-    Steady term plus (alpha0 - steady) * exp((-i u11 z + i delta_p - kappa) t);
+    Steady term minus steady * exp((-i u11 z + i delta_p - kappa) t);
     the carrier phases are removed by the slowly-varying convention.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     steady = steady_amplitude(model, z)
-    return steady + (model.alpha0 - steady) * np.exp(_decay_exponent(model, z) * t)
+    return steady + -steady * np.exp(_decay_exponent(model, z) * t)
 
 
 def _drive_term(model: ProbeModel, z, alpha) -> complex:
@@ -140,14 +139,14 @@ def prefactor_exponent_exact(model: ProbeModel, z, t: float
 
     Integrates i Im(eta alpha* - i u10 a0 z alpha*) - kappa |alpha|^2 over
     [0, t] with the full time-dependent amplitude alpha(s) = S + D e^(lam s)
-    (S steady, D = alpha0 - S, Re lam = -kappa).  Every term is an
-    exponential integral int_0^t e^(c s) ds = expm1(c t) / c; needed for
-    t < 1/kappa validation.  A complex array for an array z.
+    from the empty cavity (S steady, D = -S, Re lam = -kappa).  Every term
+    is an exponential integral int_0^t e^(c s) ds = expm1(c t) / c; needed
+    for t < 1/kappa validation.  A complex array for an array z.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     steady = steady_amplitude(model, z)
-    d = model.alpha0 - steady
+    d = -steady
     lam = _decay_exponent(model, z)
     e1 = np.expm1(lam * t) / lam
     e2 = -np.expm1(-2.0 * model.kappa * t) / (2.0 * model.kappa)

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .geometry import (LatticeSpec, Scenario, coupling_coefficient,
                        scenario_geometry)
@@ -62,24 +61,16 @@ class JointState:
         return float(w[:, -1].sum() / total) if total > 0 else 0.0
 
 
-def _coherent_column(alpha: complex, n_max: int) -> np.ndarray:
-    n = np.arange(n_max + 1)
-    if alpha == 0:
-        return (n == 0).astype(complex)
-    return np.exp(-0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha))
-                  - 0.5 * gammaln(n + 1))
-
-
-def superfluid_joint_state(spec: LatticeSpec, alpha0: complex = 0.0,
-                           n_max: int = 8) -> JointState:
-    """Superfluid atomic state (multinomial amplitudes) times coherent light."""
+def superfluid_joint_state(spec: LatticeSpec, n_max: int = 8) -> JointState:
+    """Superfluid atomic state (multinomial amplitudes) in the empty cavity:
+    every configuration's light sits in the photon vacuum."""
     cfgs = compositions(spec.n_atoms, spec.n_sites)
     c = np.array([math.sqrt(math.factorial(spec.n_atoms)
                             / math.prod(math.factorial(qj) for qj in q))
                   for q in cfgs])
-    c = c / math.sqrt(spec.n_sites ** spec.n_atoms)
-    light = _coherent_column(alpha0, n_max)
-    return JointState(tuple(cfgs), n_max, np.outer(c, light))
+    amplitudes = np.zeros((len(cfgs), n_max + 1), dtype=complex)
+    amplitudes[:, 0] = c / math.sqrt(spec.n_sites ** spec.n_atoms)
+    return JointState(tuple(cfgs), n_max, amplitudes)
 
 
 @lru_cache(maxsize=32)

@@ -35,13 +35,12 @@ from .optics import (AmplitudeTable, ProbeModel, amplitude_table, cat_phase,
 from .states import ZDistribution
 
 PEAK_WEIGHT_THRESHOLD = 1e-3
-# strides per block of the stop loop and of a record's observables, rows
-# per log-weight product and per exact stop check (which holds several
-# posteriors' worth of arrays): they set speed and memory, never a bit of
-# the output, as every row is computed on its own
+# strides per block of the stop loop and of a record's observables, and
+# rows per log-weight product and per chunk of exact stop checks: they set
+# speed and memory, never a bit of the output, as every row is computed on
+# its own
 _BLOCK_STRIDES = 128
 _PRODUCT_ROWS = 512
-_EXACT_ROWS = 64
 # a finite stand-in for log 0 in the log-weight product
 _NO_WEIGHT = -1e300
 LN2 = float(np.log(2.0))
@@ -430,8 +429,8 @@ def stop_strides(p0: ZDistribution, table: AmplitudeTable, kappa: float,
     One loop over blocks of strides holds every record still running.  Each
     block's log weights come from [1, m, t] rows' product with
     `_log_weight_operands`, `_PRODUCT_ROWS` rows at a time.  Only rows that
-    `_may_stop` passes get the exact `_posteriors` and `_stop_rows`,
-    `_EXACT_ROWS` at a time: each record's first passed row, then its next
+    `_may_stop` passes get the exact `_posteriors` and `_stop_rows`, also
+    `_PRODUCT_ROWS` at a time: each record's first passed row, then its next
     2, 4, ... until one stops.  A stopped record's later rows
     go unchecked, and those of later blocks are never built.  The latent z*
     of a sampled record has a finite log weight on every row, so
@@ -461,8 +460,8 @@ def stop_strides(p0: ZDistribution, table: AmplitudeTable, kappa: float,
         below = 0
         while (todo := np.flatnonzero((rank > below) & (rank <= 2 * below + 1)
                                       & ~done[:, None])).size:
-            for sub in np.split(todo, range(_EXACT_ROWS, len(todo),
-                                            _EXACT_ROWS)):
+            for sub in np.split(todo, range(_PRODUCT_ROWS, len(todo),
+                                            _PRODUCT_ROWS)):
                 stop.flat[sub] = _stop_rows(
                     _posteriors(p, table, kappa, rows[sub, 1], rows[sub, 2]),
                     z, stop_fwhm, PEAK_WEIGHT_THRESHOLD)

@@ -9,7 +9,7 @@ from scipy.stats import chisquare
 
 from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import AmplitudeTable
-from latticemc.oracle import JointState, _coherent_column, compositions
+from latticemc.oracle import JointState, compositions
 from latticemc.states import ZDistribution
 from latticemc.trajectory import LN2, _reweighted
 
@@ -176,14 +176,14 @@ def density_matrix(mix: CatMixture) -> np.ndarray:
     return np.array([[w1, off], [np.conj(off), w2]], dtype=complex)
 
 
-def mott_joint_state(spec: LatticeSpec, alpha0: complex = 0.0,
-                     n_max: int = 8) -> JointState:
+def mott_joint_state(spec: LatticeSpec, n_max: int = 8) -> JointState:
+    """The unit-filling Mott configuration in the empty cavity."""
     if spec.n_atoms != spec.n_sites:
         raise ValueError("Mott state requires unit filling")
     cfgs = compositions(spec.n_atoms, spec.n_sites)
-    c = np.array([1.0 if all(qj == 1 for qj in q) else 0.0 for q in cfgs])
-    return JointState(tuple(cfgs), n_max,
-                      np.outer(c, _coherent_column(alpha0, n_max)))
+    amplitudes = np.zeros((len(cfgs), n_max + 1), dtype=complex)
+    amplitudes[cfgs.index((1,) * spec.n_sites), 0] = 1.0
+    return JointState(tuple(cfgs), n_max, amplitudes)
 
 
 def pooled_chisquare_p(observed_counts, expected_counts, min_expected=5.0):

@@ -509,6 +509,18 @@ BAD_INPUTS = {
     "delta-z-points-negative": (MAXIMUM + "delta_z_points = -5\n", []),
     "mott-not-unit-filling": (MAXIMUM.replace("n_atoms = 50", "n_atoms = 40")
                               + "initial_state = mott\n", []),
+    "max-tau-inf": (MAXIMUM.replace("max_tau = 8.0", "max_tau = inf"), []),
+    "kappa-inf": (GOOD.replace("kappa = 1.0", "kappa = inf"), []),
+    "drive-scale-inf": (GOOD.replace("drive_scale = 1.0",
+                                     "drive_scale = inf"), []),
+    "z-p-nan": (GOOD.replace("z_p = 50", "z_p = nan"), []),
+    "kappa-over-u11-inf": (GOOD.replace("kappa_over_u11 = 1.0",
+                                        "kappa_over_u11 = inf"), []),
+    "stop-fwhm-nan": (MAXIMUM.replace("stop_fwhm = 0.0", "stop_fwhm = nan"),
+                      []),
+    "stop-fwhm-negative": (MAXIMUM.replace("stop_fwhm = 0.0",
+                                           "stop_fwhm = -1"), []),
+    "delta-z-max-nan": (MAXIMUM + "delta_z_max = nan\n", []),
 }
 
 

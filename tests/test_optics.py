@@ -11,14 +11,14 @@ from latticemc.optics import (AmplitudeTable, ProbeModel, amplitude_table,
 
 
 def transverse(u10=1.0, a0=1.0, kappa=1.0, delta_p=0.0,
-               scenario=Scenario.MAXIMUM, alpha0=0.0):
+               scenario=Scenario.MAXIMUM):
     return ProbeModel(scenario=scenario, kappa=kappa, u10=u10, a0=a0,
-                      delta_p=delta_p, alpha0=alpha0)
+                      delta_p=delta_p)
 
 
-def transmission(eta=1.0, u11=1.0, kappa=1.0, z_p=0.0, alpha0=0.0):
+def transmission(eta=1.0, u11=1.0, kappa=1.0, z_p=0.0):
     return ProbeModel(scenario=Scenario.TRANSMISSION, kappa=kappa, u11=u11,
-                      eta=eta, delta_p=z_p * u11, alpha0=alpha0)
+                      eta=eta, delta_p=z_p * u11)
 
 
 def test_probe_model_validation():
@@ -88,8 +88,8 @@ def test_amplitude_table_rejects_nonfinite():
 
 
 def test_transient_amplitude_limits():
-    model = transmission(eta=1.5, u11=1.0, kappa=1.0, z_p=10.0, alpha0=0.3 + 0.1j)
-    assert transient_amplitude(model, 4, 0.0) == pytest.approx(0.3 + 0.1j)
+    model = transmission(eta=1.5, u11=1.0, kappa=1.0, z_p=10.0)
+    assert transient_amplitude(model, 4, 0.0) == 0
     late = transient_amplitude(model, 4, 20.0)
     assert late == pytest.approx(steady_amplitude(model, 4), abs=1e-8)
     with pytest.raises(ValueError):
@@ -105,8 +105,7 @@ def test_transient_amplitude_resonant_halflife():
 
 def test_transient_amplitude_solves_cavity_ode():
     """Cross-check against direct integration of the amplitude equation."""
-    model = transmission(eta=0.8, u11=0.6, kappa=1.1, z_p=3.0,
-                         alpha0=0.2 - 0.4j)
+    model = transmission(eta=0.8, u11=0.6, kappa=1.1, z_p=3.0)
     z = 5.0
 
     def rhs(t, y):
@@ -115,7 +114,7 @@ def test_transient_amplitude_solves_cavity_ode():
         return [da.real, da.imag]
 
     for t_end in (0.3, 1.0, 4.0):
-        sol = solve_ivp(rhs, (0.0, t_end), [0.2, -0.4], rtol=1e-11, atol=1e-12)
+        sol = solve_ivp(rhs, (0.0, t_end), [0.0, 0.0], rtol=1e-11, atol=1e-12)
         want = sol.y[0, -1] + 1j * sol.y[1, -1]
         assert transient_amplitude(model, z, t_end) == pytest.approx(want, abs=1e-8)
 
@@ -159,11 +158,10 @@ def _prefactor_exponent_quad(model, z, t, tol=1e-12):
 
 @pytest.mark.parametrize("make", [
     lambda d: transmission(eta=d, u11=1.0, kappa=1.0, z_p=1.0),
-    lambda d: transmission(eta=0.7 * d, u11=0.4, kappa=0.7, z_p=5.0,
-                           alpha0=0.1 + 0.05j),
+    lambda d: transmission(eta=0.7 * d, u11=0.4, kappa=0.7, z_p=5.0),
     lambda d: transverse(u10=d, kappa=1.0),
-    lambda d: transverse(u10=d, kappa=1.3, delta_p=0.4, alpha0=-0.2j),
-], ids=["transmission", "transmission-alpha0", "maximum", "maximum-detuned"])
+    lambda d: transverse(u10=d, kappa=1.3, delta_p=0.4),
+], ids=["transmission", "transmission-kappa0.7", "maximum", "maximum-detuned"])
 def test_prefactor_exponent_exact_matches_quadrature(make):
     zs = (0, 1, 2, 3, 7)
     for drive in (1e-4, 0.05, 0.3):

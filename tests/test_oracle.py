@@ -164,14 +164,6 @@ def test_oracle_minimum_odd_sites():
 
 @pytest.mark.parametrize("scenario", [Scenario.TRANSMISSION, Scenario.MAXIMUM],
                          ids=lambda s: s.value)
-def test_oracle_site_mask(scenario):
-    """Sites 1 and 3 of 3 illuminated: a non-contiguous mask."""
-    spec = LatticeSpec(4, 3, 2, illuminated_sites=(1, 3))
-    assert max_deviation(spec, probe(scenario)) < 1e-6
-
-
-@pytest.mark.parametrize("scenario", [Scenario.TRANSMISSION, Scenario.MAXIMUM],
-                         ids=lambda s: s.value)
 @pytest.mark.parametrize("n_atoms,n_illuminated",
                          [(5, 1), (5, 2), (6, 1), (6, 2)],
                          ids=["N5K1", "N5K2", "N6K1", "N6K2"])

@@ -136,13 +136,6 @@ def test_mott_distribution_difference():
     assert odd.probabilities.tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
-def test_mott_distribution_site_mask():
-    spec = LatticeSpec(4, 4, 2, illuminated_sites=(2, 4))
-    for scenario in (Scenario.MAXIMUM, Scenario.TRANSMISSION):
-        d = mott_distribution(spec, scenario)
-        assert d.probabilities.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
-
-
 def test_mott_distribution_validation():
     with pytest.raises(ValueError):
         mott_distribution(LatticeSpec(50, 100, 50), Scenario.MAXIMUM)

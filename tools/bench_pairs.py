@@ -18,14 +18,11 @@ The output file holds the environment, the seeds, every pair's end-to-end
 metrics, failures and output checks, per metric the medians and quartiles
 of each side and the number of pairs the change wins, and per side the
 operations attempted and failed over all pairs.  Each run also records its
-failures by operation label and, per label that failed, the passes where it
-succeeded, and each pair prints them: a failed-share gap that comes from
-which passes an operation happens to succeed at reads apart from a new
-failure (fig4 on `presets` failed that way while one ambiguous member
-aborted its whole ensemble; it is now written as an `unclassifiable` row).  Each run also records, per operation label, the
-median bytes its successful operations wrote: a deterministic work counter
-that machine drift does not move.  Each pair prints it, and the summary
-gives its median over the pairs per side.  A warning is printed when
+failures by operation label, and each pair prints them.  Each run also
+records, per operation label, the median bytes its successful operations
+wrote: a deterministic work counter that machine drift does not move.
+Each pair prints it, and the summary gives its median over the pairs per
+side.  A warning is printed when
 the change fails a larger share of its operations than the base, or either
 side writes incorrect outputs.  The change's entry lists the paths that
 differ from its commit, the output file aside.  Runs on another workload
@@ -90,9 +87,6 @@ def run_bench(tree: Path, args, trace: int, seconds: float) -> dict:
     ops = [r for r in saved["operations"] if r["traced"] == bool(trace)]
     failed = Counter(r["op"] for r in ops if not r["ok"])
     result["failed_ops"] = dict(sorted(failed.items()))
-    result["ok_passes"] = {label: [r["pass"] for r in ops
-                                   if r["op"] == label and r["ok"]]
-                           for label in result["failed_ops"]}
     written = {}
     for r in ops:
         if r["ok"]:
@@ -103,10 +97,10 @@ def run_bench(tree: Path, args, trace: int, seconds: float) -> dict:
 
 
 def describe(run: dict) -> str:
-    """Passes, per failing label its failures and its passing passes, and
-    per label the median bytes written."""
+    """Passes, per failing label its failures, and per label the median
+    bytes written."""
     return f"{run['passes']} passes" + "".join(
-        f", {label} failed {n}x (ok at passes {run['ok_passes'][label]})"
+        f", {label} failed {n}x"
         for label, n in run["failed_ops"].items()) + ", bytes " + ", ".join(
         f"{label} {size:.0f}" for label, size in run["output_bytes"].items())
 
