@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -30,8 +30,8 @@ from .oracle import compare_with_exact
 from .states import (ZDistribution, load_distribution, mott_distribution,
                      superfluid_atom_number, superfluid_difference)
 from .trajectory import (ClassificationError, NumericalAbort, RunRecord,
-                         Sample, classify_outcome, run_ensemble,
-                         run_trajectory)
+                         Sample, _recording_grid, classify_outcome,
+                         run_ensemble, run_trajectory)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -73,17 +73,14 @@ class RunConfig:
         return d
 
 
-def _parse_number_list(text: str, cast):
-    return tuple(map(cast, text.split(","))) if text.strip() else ()
-
-
 def _parser(hint):
     """The text-to-value cast of a `RunConfig` field with type hint `hint`."""
     if hint is Scenario:
         return lambda text: Scenario(text.lower())
     cast = (get_args(hint) or (hint,))[0]  # X of X | None, tuple[X, ...]
-    if get_origin(hint) is tuple:  # comma-separated
-        return lambda text: _parse_number_list(text, cast)
+    if get_origin(hint) is tuple:  # comma-separated, blank for none
+        return lambda text: (tuple(map(cast, text.split(",")))
+                             if text.strip() else ())
     return cast
 
 
@@ -92,8 +89,9 @@ _FIELDS = {f.name: (f.default is MISSING, _parser(hint))
                               get_type_hints(RunConfig).values())}
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a flat key = value document (strict: unknown keys rejected).
+def parse_config(text: str, flags: dict[str, str] | None = None) -> RunConfig:
+    """Parse a flat key = value document (strict: unknown keys rejected),
+    with the value text of `flags`' keys in place of the document's.
 
     The keys are `RunConfig`'s fields; those without a default are required.
     """
@@ -108,6 +106,7 @@ def parse_config(text: str) -> RunConfig:
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
+    raw.update(flags or {})
 
     unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
@@ -128,8 +127,9 @@ def parse_config(text: str) -> RunConfig:
                     else f"key {key!r}: {exc}") from exc
     cfg = RunConfig(**values)
     _check_fields(cfg)
-    try:  # the lattice, the scenario's geometry and the initial state
+    try:  # the lattice, the scenario's geometry, the initial state, the grid
         initial_distribution(cfg)
+        _recording_grid(cfg.max_tau, cfg.sample_interval_tau, cfg.snapshots)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -147,8 +147,7 @@ def _check_fields(cfg: RunConfig):
         value = getattr(cfg, key)
         if cast is float and value is not None and not np.isfinite(value):
             raise ConfigError(f"{key} must be finite")
-    for key in ("kappa", "drive_scale", "max_tau", "sample_interval_tau",
-                "kappa_over_u11"):
+    for key in ("kappa", "drive_scale", "kappa_over_u11"):
         value = getattr(cfg, key)
         if value is not None and not value > 0:
             raise ConfigError(f"{key} must be > 0")
@@ -156,8 +155,6 @@ def _check_fields(cfg: RunConfig):
                        ("stop_fwhm", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be >= {least}")
-    if not all(0 <= s <= cfg.max_tau for s in cfg.snapshots):
-        raise ConfigError("snapshots must lie in [0, max_tau]")
     if min(cfg.loss_counts, default=0) < 0:
         raise ConfigError("loss_counts must be >= 0")
     if cfg.initial_state not in ("superfluid", "mott", "file"):
@@ -186,7 +183,10 @@ def initial_distribution(cfg: RunConfig) -> ZDistribution:
     spec = lattice_spec(cfg)
     geom = scenario_geometry(cfg.scenario, spec)
     if cfg.initial_state == "file":
-        dist = load_distribution(cfg.initial_state_file)
+        try:
+            dist = load_distribution(cfg.initial_state_file)
+        except OSError as exc:
+            raise ConfigError(f"initial_state_file: {exc}") from exc
         if tuple(dist.z_values) != tuple(geom.z_grid):
             raise ConfigError("loaded z grid does not match the scenario grid")
         return dist
@@ -380,12 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_traj = sub.add_parser("trajectory", help="run a single trajectory")
     p_ens = sub.add_parser("ensemble", help="run many trajectories")
-    p_ens.add_argument("--n-traj", type=int, default=None)
+    p_ens.add_argument("--n-traj", help="override the config n_traj")
     for p in (p_traj, p_ens):
         common(p)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--snapshots", type=str, default=None,
+        p.add_argument("--seed", help="override the config seed")
+        p.add_argument("--snapshots",
                        help="comma-separated tau values for p(z) dumps")
 
     p_pur = sub.add_parser("purity-sweep", help="purity vs doublet splitting")
@@ -398,21 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    """The config with the `--seed`, `--n-traj` and `--snapshots` flags
-    applied and its fields checked with them; each command echoes the config
-    it ran."""
-    cfg = parse_config(load_preset(args.preset) if args.preset
-                       else args.config.read_text())
-    flags = {k: v for k in ("seed", "n_traj")
-             if (v := getattr(args, k, None)) is not None}
-    if (snapshots := getattr(args, "snapshots", None)) is not None:
-        try:
-            flags["snapshots"] = _parse_number_list(snapshots, float)
-        except ValueError as exc:
-            raise ConfigError(f"--snapshots: {exc}") from exc
-    cfg = replace(cfg, **flags)
-    _check_fields(cfg)
-    return cfg
+    """The config with the `--seed`, `--n-traj` and `--snapshots` flag text
+    in place of its own; each command echoes the config it ran."""
+    try:
+        text = (load_preset(args.preset) if args.preset
+                else args.config.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {args.config}: {exc}") from exc
+    return parse_config(text, {k: v for k in ("seed", "n_traj", "snapshots")
+                               if (v := getattr(args, k, None)) is not None})
 
 
 def main(argv=None) -> int:
@@ -420,15 +413,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "oracle-check":
             return cmd_oracle_check(args.out)
-        cfg = _load_config(args)
-        if args.command == "trajectory":
-            return cmd_trajectory(cfg, args.out)
-        if args.command == "ensemble":
-            return cmd_ensemble(cfg, args.out)
-        if args.command == "purity-sweep":
-            return cmd_purity_sweep(cfg, args.out)
-        raise AssertionError(args.command)
-    except (ConfigError, FileNotFoundError) as exc:
+        command = {"trajectory": cmd_trajectory, "ensemble": cmd_ensemble,
+                   "purity-sweep": cmd_purity_sweep}[args.command]
+        return command(_load_config(args), args.out)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalAbort as exc:

@@ -43,6 +43,8 @@ _BLOCK_STRIDES = 128
 _PRODUCT_ROWS = 512
 # a finite stand-in for log 0 in the log-weight product
 _NO_WEIGHT = -1e300
+# a limit on input, not a knob: each member records one count per stride
+_MAX_STRIDES = 10**6
 LN2 = float(np.log(2.0))
 
 
@@ -480,13 +482,24 @@ def _recording_grid(max_tau: float, sample_interval_tau: float | None,
 
     A snapshot within `isclose` of an even-grid point or of another
     snapshot shares its stride, at the snapshot's own tau (stride 0 stays
-    at 0).
+    at 0).  Raises ValueError on a max_tau not finite and > 0, an interval
+    not > 0 or over `_MAX_STRIDES` strides, or a snapshot off [0, max_tau].
     """
+    if not 0 < max_tau < np.inf:
+        raise ValueError("max_tau must be finite and > 0")
     if sample_interval_tau is None:
         sample_interval_tau = max_tau / 400.0
-    n_steps = max(1, int(np.ceil(max_tau / sample_interval_tau)))
-    snaps = np.unique([float(s) for s in snapshot_taus if 0 <= s <= max_tau])
-    points = np.concatenate([np.linspace(0.0, max_tau, n_steps + 1), snaps])
+    if not sample_interval_tau > 0:
+        raise ValueError("sample_interval_tau must be > 0")
+    n_steps = max(1.0, np.ceil(max_tau / sample_interval_tau))
+    if n_steps > _MAX_STRIDES:
+        raise ValueError(f"sample_interval_tau gives {n_steps:g} strides, "
+                         f"more than {_MAX_STRIDES:g}")
+    snaps = np.unique([float(s) for s in snapshot_taus])
+    if not np.all((0 <= snaps) & (snaps <= max_tau)):
+        raise ValueError("snapshots must lie in [0, max_tau]")
+    points = np.concatenate([np.linspace(0.0, max_tau, int(n_steps) + 1),
+                             snaps])
     order = np.argsort(points, kind="stable")
     points, is_snap = points[order], order > n_steps
     merged = (np.isclose(points[1:], points[:-1])
@@ -511,14 +524,12 @@ def run_ensemble(p0: ZDistribution, model: ProbeModel, seeds, *,
     final posterior.  Deterministic for given seeds; a member does not
     depend on the other seeds.
     """
-    if max_tau <= 0:
-        raise ValueError("max_tau must be > 0")
+    taus, snap_strides = _recording_grid(max_tau, sample_interval_tau,
+                                         snapshot_taus)
     table = amplitude_table(model, p0.z_values)
     c2 = abs(table.c_constant) ** 2
     if c2 <= 0:
         raise ValueError("zero drive: the dimensionless time is undefined")
-    taus, snap_strides = _recording_grid(max_tau, sample_interval_tau,
-                                         snapshot_taus)
     t = taus * (1.0 / (2.0 * c2 * model.kappa))
     m = sample_counts(p0, table, model.kappa, t, seeds)
     stops = stop_strides(p0, table, model.kappa, m, t, stop_fwhm)

@@ -497,9 +497,16 @@ BAD_INPUTS = {
                                       "sample_interval_tau = 0"), []),
     "interval-negative": (MAXIMUM.replace("sample_interval_tau = 0.5",
                                           "sample_interval_tau = -1"), []),
+    "interval-tiny": (MAXIMUM.replace("sample_interval_tau = 0.5",
+                                      "sample_interval_tau = 1e-300"), []),
+    "interval-past-limit": (MAXIMUM.replace(
+        "sample_interval_tau = 0.5", "sample_interval_tau = %r"
+        % (8.0 / (trajectory._MAX_STRIDES + 1))), []),
     "seed-negative": (MAXIMUM.replace("seed = 1", "seed = -1"), []),
     "seed-flag-negative": (MAXIMUM, ["--seed", "-1"]),
+    "seed-flag-text": (MAXIMUM, ["--seed", "abc"]),
     "n-traj-flag-zero": (MAXIMUM, ["--n-traj", "0"]),
+    "n-traj-flag-float": (MAXIMUM, ["--n-traj", "2.5"]),
     "snapshots-flag-text": (MAXIMUM, ["--snapshots", "abc"]),
     "snapshots-negative": (MAXIMUM + "snapshots = -1,2\n", []),
     "snapshots-flag-past-max-tau": (MAXIMUM, ["--snapshots", "5,999"]),
@@ -537,9 +544,38 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, text, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8",
+                                  "state-file-is-a-directory"])
+def test_unreadable_input_is_a_config_error(tmp_path, capsys, case):
+    """A config or initial-state file that cannot be read as text exits 2
+    with a one-line message, as a missing one does."""
+    cfg_path = tmp_path / "run.cfg"
+    if case == "config-is-a-directory":
+        cfg_path = tmp_path
+    elif case == "config-not-utf8":
+        cfg_path.write_bytes(MAXIMUM.encode() + b"# \xff\n")
+    else:
+        write(tmp_path, MAXIMUM + "initial_state = file\n"
+              f"initial_state_file = {tmp_path}\n")
+    out = tmp_path / "out"
+    rc = main(["ensemble", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_a_flag_is_the_same_key_in_the_file():
+    """Flag text replaces the file's value text before the one cast and
+    check of every value."""
+    text = MAXIMUM.replace("seed = 1\n", "")
+    assert (parse_config(text, {"seed": "4", "snapshots": "1,2"})
+            == parse_config(text + "seed = 4\nsnapshots = 1,2\n"))
+    assert parse_config(MAXIMUM, {"seed": "4"}).seed == 4
+
+
 def test_ensemble_flags_rebuild_no_initial_state(tmp_path, monkeypatch):
-    """`--seed` and `--n-traj` re-check the config's fields only: p0 is
-    built once to validate the config and once to run it."""
+    """`--seed`, `--n-traj` and `--snapshots` are parsed with the config:
+    p0 is built once to validate the config and once to run it."""
     builds = []
     real = cli.initial_distribution
     monkeypatch.setattr(cli, "initial_distribution",

@@ -1247,6 +1247,20 @@ def test_run_trajectory_validation():
         run_trajectory(p0, max_model(), seed=1, max_tau=0.0)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"max_tau": 8.0, "sample_interval_tau": 0.0},
+     "sample_interval_tau must be > 0"),
+    ({"max_tau": 8.0, "snapshot_taus": (1.0, 8.5)},
+     r"snapshots must lie in \[0, max_tau\]"),
+    ({"max_tau": np.nan}, "max_tau must be finite and > 0"),
+    ({"max_tau": np.inf}, "max_tau must be finite and > 0"),
+])
+def test_run_ensemble_rejects_bad_grid_arguments(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        trajectory.run_ensemble(superfluid_atom_number(SPEC), max_model(),
+                                [1], **kwargs)
+
+
 def test_run_trajectory_stops_at_first_narrow_stride():
     # past the first block of strides, so the block hand-over is covered
     p0 = superfluid_atom_number(SPEC)

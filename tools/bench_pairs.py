@@ -23,8 +23,10 @@ records, per operation label, the median bytes its successful operations
 wrote: a deterministic work counter that machine drift does not move.
 Each pair prints it, and the summary gives its median over the pairs per
 side.  A warning is printed when
-the change fails a larger share of its operations than the base, or either
-side writes incorrect outputs.  The change's entry lists the paths that
+the change fails a larger share of its operations than the base, when its
+median of an end-to-end metric is worse than the base's by more than that
+metric's relative `bound` in BENCHMARK.json, or when either side writes
+incorrect outputs.  The change's entry lists the paths that
 differ from its commit, the output file aside.  Runs on another workload
 or seed are merged into the same file under their own key,
 "<workload>/seed<seed>".
@@ -110,16 +112,21 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+def summarise(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per end-to-end metric: each side's spread, the change's wins, and
+    whether its median is worse than the base's by more than the bound."""
     summary = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         base = [p["base"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        before, after = statistics.median(base), statistics.median(change)
         summary[name] = {
-            "better": direction, "base": spread(base),
-            "change": spread(change),
-            "median_ratio": statistics.median(change) / statistics.median(base),
+            "better": metric["better"], "bound": metric["bound"],
+            "base": spread(base), "change": spread(change),
+            "median_ratio": after / before,
+            "worse_than_bound": (sign * (after - before)
+                                 < -metric["bound"] * abs(before)),
             "wins": sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             "pairs": len(pairs)}
     return summary
@@ -169,7 +176,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be 0 (with --trace-seconds) or >= 2")
 
     with open(ROOT / "BENCHMARK.json") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     pairs, traced = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         extract(args.base, Path(tmp))
@@ -183,7 +190,7 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{name} {pair['base']['metrics'][name]['value']:.4g} -> "
                 f"{pair['change']['metrics'][name]['value']:.4g}"
-                for name in better) + ", failed " + " -> ".join(
+                for name in metrics) + ", failed " + " -> ".join(
                 f"{pair[side]['failed']}/{pair[side]['attempted']}"
                 for side in ("base", "change")), flush=True)
             for side in ("base", "change"):
@@ -199,7 +206,7 @@ def main(argv=None) -> int:
              "change": {"commit": git("rev-parse", "HEAD"),
                         "uncommitted_changes": uncommitted_changes(args.out)}}
     if pairs:
-        entry.update(seconds=args.seconds, summary=summarise(pairs, better),
+        entry.update(seconds=args.seconds, summary=summarise(pairs, metrics),
                      failures=failures(pairs),
                      output_bytes=output_bytes(pairs),
                      quartiles="statistics.quantiles(n=4), exclusive method",
@@ -214,6 +221,9 @@ def main(argv=None) -> int:
         print(f"{name:12s} median {s['base']['median']:.4g} -> "
               f"{s['change']['median']:.4g} ({s['median_ratio']:.3f}x), "
               f"change better in {s['wins']}/{s['pairs']} pairs")
+        if s["worse_than_bound"]:
+            print(f"WARNING: the change's median {name} is worse than the "
+                  f"base's by more than its bound {s['bound']:g}")
     written = entry.get("output_bytes", {"base": {}, "change": {}})
     for label, size in written["base"].items():
         after = written["change"].get(label, 0)
