@@ -8,8 +8,8 @@ photon statistics, and the purity of the prepared superpositions under
 photon loss.
 """
 
-from .geometry import (LatticeSpec, ModeFunction, Scenario, ScenarioGeometry,
-                       coupling_coefficient, mode_value, scenario_geometry)
+from .geometry import (LatticeSpec, Scenario, ScenarioGeometry,
+                       coupling_coefficient, scenario_geometry)
 from .optics import (AmplitudeTable, ProbeModel, amplitude_table, cat_phase,
                      steady_amplitude, transient_amplitude)
 from .oracle import (JointState, apply_jump, compare_with_exact,

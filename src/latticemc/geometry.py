@@ -1,7 +1,7 @@
 """Lattice and light geometry.
 
-Probe and cavity mode functions evaluated on lattice sites, and the
-weighted atom-number sums D_lm = sum_j u_l*(r_j) u_m(r_j) n_j over the
+Probe and cavity mode functions, each its values at the lattice sites, and
+the weighted atom-number sums D_lm = sum_j u_l*(r_j) u_m(r_j) n_j over the
 illuminated sites.  Each measurement scenario fixes its pair of mode
 functions, and z is the D of the pair, D_10 = sum_j u_1* u_0 n_j:
 
@@ -50,51 +50,21 @@ class LatticeSpec:
 
 
 @dataclass(frozen=True)
-class ModeFunction:
-    """Plane-wave mode function on the lattice.
-
-    kind is 'traveling' or 'standing'; projected_wavenumber is
-    k_x = |k| sin(theta) in units of 1/d; phase is site-independent
-    (plane-wave approximation).
-    """
-
-    kind: str
-    projected_wavenumber: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("traveling", "standing"):
-            raise ValueError(f"unknown mode kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class ScenarioGeometry:
-    """z grid and the probe (u_0) and cavity (u_1) modes whose D_10 is z."""
+    """z grid and the probe (u_0) and cavity (u_1) modes whose D_10 is z,
+    each a read-only array of its values at sites 1..M."""
 
     z_grid: tuple[int, ...]
-    probe: ModeFunction
-    cavity: ModeFunction
+    probe: np.ndarray
+    cavity: np.ndarray
 
 
-def mode_value(mode: ModeFunction, site_index: int, spec: LatticeSpec) -> complex:
-    """Mode function u(r_j) at site j (1-based).
-
-    exp(i(j k_x + phi)) for traveling waves, cos(j k_x + phi) for standing
-    waves (k_x in units of 1/d).
-    """
-    if not 1 <= site_index <= spec.n_sites:
-        raise IndexError(f"site index {site_index} outside 1..{spec.n_sites}")
-    arg = site_index * mode.projected_wavenumber + mode.phase
-    if mode.kind == "traveling":
-        return complex(np.exp(1j * arg))
-    return complex(np.cos(arg))
-
-
-def coupling_coefficient(q, mode_l: ModeFunction, mode_m: ModeFunction,
+def coupling_coefficient(q, mode_l, mode_m,
                          spec: LatticeSpec) -> complex | np.ndarray:
     """D^q_lm = sum over illuminated sites of u_l*(r_j) u_m(r_j) q_j.
 
-    q is one configuration or an array of them, one per row.
+    q is one configuration or an array of them, one per row; a mode is its
+    values at sites 1..M.
     """
     q = np.asarray(q)
     if q.shape[-1:] != (spec.n_sites,):
@@ -102,10 +72,12 @@ def coupling_coefficient(q, mode_l: ModeFunction, mode_m: ModeFunction,
                          f"n_sites = {spec.n_sites}")
     if np.any(q < 0):
         raise ValueError("occupations must be nonnegative")
+    mode_l, mode_m = np.asarray(mode_l), np.asarray(mode_m)
+    if {mode_l.shape, mode_m.shape} != {(spec.n_sites,)}:
+        raise ValueError(f"mode shapes {mode_l.shape}, {mode_m.shape} are "
+                         f"not (n_sites,) = ({spec.n_sites},)")
     k = spec.n_illuminated
-    weights = [np.conj(mode_value(mode_l, j, spec)) * mode_value(mode_m, j, spec)
-               for j in range(1, k + 1)]
-    d = q[..., :k] @ np.array(weights)
+    d = q[..., :k] @ (np.conj(mode_l[:k]) * mode_m[:k])
     return complex(d) if d.ndim == 0 else d
 
 
@@ -116,16 +88,19 @@ def scenario_geometry(scenario: Scenario, spec: LatticeSpec) -> ScenarioGeometry
     illuminated): z in {-N, -N+2, ..., N}.
     """
     n = spec.n_atoms
-    flat = ModeFunction("traveling", 0.0)  # u = 1 at every site
+    flat = np.ones(spec.n_sites, dtype=complex)  # u = 1 at every site
     if scenario in (Scenario.MAXIMUM, Scenario.TRANSMISSION):
         # in transmission the mirror-driven cavity mode is its own probe
-        return ScenarioGeometry(tuple(range(n + 1)), flat, flat)
-    if scenario is Scenario.MINIMUM:
+        grid, cavity = range(n + 1), flat
+    elif scenario is Scenario.MINIMUM:
         if spec.n_illuminated != spec.n_sites:
             raise ValueError("diffraction minimum requires K = M "
                              "(all sites illuminated)")
-        # transverse probe, cavity standing wave along the lattice with
-        # cos(j pi + pi) = (-1)^(j+1) at site j
-        cavity = ModeFunction("standing", np.pi, np.pi)
-        return ScenarioGeometry(tuple(range(-n, n + 1, 2)), flat, cavity)
-    raise ValueError(f"unknown scenario {scenario!r}")
+        # transverse probe, cavity standing wave along the lattice at
+        # k_x = pi / d: cos(j pi + pi) = (-1)^(j+1) at site j
+        grid = range(-n, n + 1, 2)
+        cavity = np.where(np.arange(spec.n_sites) % 2, -1.0, 1.0) + 0j
+    else:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    flat.flags.writeable = cavity.flags.writeable = False
+    return ScenarioGeometry(tuple(grid), flat, cavity)

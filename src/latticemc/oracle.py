@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .geometry import (LatticeSpec, Scenario, coupling_coefficient,
                        scenario_geometry)
@@ -113,6 +112,8 @@ def evolve_nonhermitian(state: JointState, model: ProbeModel,
         raise ValueError("duration must be >= 0")
     if duration == 0:
         return state
+    from scipy.linalg import expm  # kept out of `import latticemc`
+
     delta, g = _config_couplings(state, model, spec)
     n = np.arange(state.n_max + 1)
     sq = np.sqrt(n[1:])

@@ -264,8 +264,6 @@ def classify_outcome(state: FinalState, model: ProbeModel) -> OutcomeReport:
     w1 = float(p[idx_a]) if 0 <= idx_a < len(z) and z[idx_a] == za else 0.0
     w2 = float(p[idx_b]) if 0 <= idx_b < len(z) and z[idx_b] == zb else 0.0
     total = w1 + w2
-    if total <= 0:
-        raise ClassificationError("doublet satellites carry no weight")
     phi = cat_phase(model, dz)
     big_phi = (abs(steady_amplitude(model, za)) ** 2
                * model.u11 * dz * state.t)

@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -344,17 +348,30 @@ def test_trajectory_aborts_on_an_ambiguous_member(tmp_path, capsys):
 
 
 def test_ensemble_computes_no_observables(tmp_path, monkeypatch):
-    """An ensemble reads only each member's counts, stop and outcome."""
-    def refuse(self):
-        raise AssertionError("computed a member's observables")
+    """An ensemble reads only each member's counts, stop and outcome: it
+    builds one posterior per member, its final state, besides those the
+    stop check reads."""
+    built, checked = [], []
 
-    monkeypatch.setattr(trajectory.RunRecord, "samples", property(refuse))
-    monkeypatch.setattr(trajectory.RunRecord, "snapshots", property(refuse))
-    for preset in ("fig2", "fig3"):
+    def posteriors(p, table, kappa, m, t):
+        built.append(len(m))
+        return posteriors_of(p, table, kappa, m, t)
+
+    def stop_rows(p, *args):
+        checked.append(len(p))
+        return stop_rows_of(p, *args)
+
+    posteriors_of, stop_rows_of = trajectory._posteriors, trajectory._stop_rows
+    monkeypatch.setattr(trajectory, "_posteriors", posteriors)
+    monkeypatch.setattr(trajectory, "_stop_rows", stop_rows)
+    for preset in ("fig2", "fig3", "fig5"):
+        built.clear()
+        checked.clear()
         out = tmp_path / preset
         assert main(["ensemble", "--preset", preset, "--n-traj", "3",
                      "--seed", "11", "--out", str(out)]) == 0
         assert list(out.glob("m_hist_*"))
+        assert 0 < sum(built) <= 3 + sum(checked)
 
 
 DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
@@ -386,6 +403,98 @@ def test_outputs_match_recorded_digests(tmp_path):
     outputs records new digests with `PYTHONPATH=src python
     tests/test_cli.py`."""
     assert output_digests(tmp_path) == json.loads(DIGESTS.read_text())
+
+
+# numpy's AVX-512 dispatch targets, and the largest relative change of a
+# written float with them switched off (2.1e-14 measured on the digest
+# commands' outputs)
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+SIMD_RTOL = 1e-12
+
+
+def simd_targets() -> list[str]:
+    """numpy's dispatch targets that this host and setting turn on."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import (__cpu_dispatch__,
+                                                  __cpu_features__)
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _output_values(path: Path):
+    """A CSV file's rows of int, float and text cells, or a JSON file's
+    value."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with open(path, newline="") as fh:
+        return [[_cell(c) for c in row] for row in csv.reader(fh)]
+
+
+def assert_close_values(got, want, where):
+    """Equal structure, text and integers; floats within SIMD_RTOL.  A
+    float column may print an integral value as an integer."""
+    if isinstance(want, float) or isinstance(got, float):
+        assert isinstance(got, (int, float)), where
+        assert isinstance(want, (int, float)), where
+        assert math.isclose(got, want, rel_tol=SIMD_RTOL, abs_tol=0.0), where
+        return
+    assert type(got) is type(want), where
+    if isinstance(want, (list, dict)):
+        assert len(got) == len(want), where
+        if isinstance(want, dict):
+            assert got.keys() == want.keys(), where
+            got, want = got.values(), want.values()
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close_values(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, where
+
+
+@pytest.mark.skipif(not set(AVX512_TARGETS) & set(simd_targets()),
+                    reason="numpy dispatches no AVX-512 kernel on this host, "
+                           "so there is none to switch off")
+def test_outputs_agree_without_avx512(tmp_path):
+    """The digest commands, run again with numpy's AVX-512 kernels switched
+    off (AVX2 at most), keep their exit codes, the ensemble outcomes and
+    summary byte for byte, and every other file's rows, text and integers;
+    their floats move by at most SIMD_RTOL.  Output bytes are per (package
+    version, numpy version, SIMD level)."""
+    native = {name: d["exit_code"]
+              for name, d in output_digests(tmp_path / "native").items()}
+    code = ("import json, sys; from pathlib import Path; "
+            "from test_cli import output_digests; "
+            "print(json.dumps({name: d['exit_code'] for name, d in "
+            "output_digests(Path(sys.argv[1])).items()}))")
+    tests = Path(__file__).parent
+    env = {**os.environ,
+           "NPY_DISABLE_CPU_FEATURES": " ".join(AVX512_TARGETS),
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"),
+                                          str(tests)])}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "avx2")],
+                          check=True, capture_output=True, text=True, env=env)
+    assert json.loads(done.stdout) == native
+    for name in native:
+        ours = tmp_path / "native" / name.replace(" ", "-")
+        theirs = tmp_path / "avx2" / name.replace(" ", "-")
+        files = sorted(p.name for p in ours.glob("*"))
+        assert sorted(p.name for p in theirs.glob("*")) == files
+        for f in files:
+            if f in ("ensemble_outcomes.csv", "ensemble_summary.json"):
+                assert (theirs / f).read_bytes() == (ours / f).read_bytes()
+            else:
+                assert_close_values(_output_values(theirs / f),
+                                    _output_values(ours / f), f"{name}/{f}")
 
 
 def _write_rows(path: Path, header: list[str], rows):

@@ -1,15 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
-from latticemc.geometry import (LatticeSpec, ModeFunction, Scenario,
-                                coupling_coefficient, mode_value,
+from latticemc.geometry import (LatticeSpec, Scenario, coupling_coefficient,
                                 scenario_geometry)
 from latticemc.oracle import compositions
-
-SPEC4 = LatticeSpec(n_atoms=6, n_sites=4, n_illuminated=4)
-
 
 def configuration_z(q, scenario, spec):
     """Reference z of a configuration, the paper's reduced sums: the atom
@@ -28,89 +22,52 @@ def scenario_z(q, scenario, spec):
     return coupling_coefficient(q, geom.cavity, geom.probe, spec)
 
 
-def max_modes():
+def max_modes(n_sites):
     """Pair of modes with u1* u0 = 1 at every site (diffraction maximum)."""
-    m = ModeFunction("traveling", 0.0, 0.0)
+    m = np.ones(n_sites, dtype=complex)
     return m, m
 
 
-def min_modes():
+def min_modes(n_sites):
     """Pair of modes with u1* u0 = (-1)^(j+1) (diffraction minimum)."""
-    return (ModeFunction("traveling", np.pi, np.pi),
-            ModeFunction("traveling", 0.0, 0.0))
-
-
-def test_mode_value_zero_phase_accumulation():
-    mode = ModeFunction("traveling", 0.0, 0.0)
-    for j in (1, 2, 3, 4):
-        assert mode_value(mode, j, SPEC4) == pytest.approx(1.0 + 0.0j)
-
-
-def test_mode_value_standing_alternating():
-    mode = ModeFunction("standing", np.pi, 0.0)
-    for j in (1, 2, 3, 4):
-        assert mode_value(mode, j, SPEC4) == pytest.approx((-1.0) ** j)
-
-
-def test_mode_value_traveling_quarter_wave():
-    # exp(i 3 pi/2) = -i; cross-check against a series evaluation of exp
-    mode = ModeFunction("traveling", np.pi / 2, 0.0)
-    got = mode_value(mode, 3, SPEC4)
-    assert got == pytest.approx(-1j, abs=1e-12)
-    x = 3j * np.pi / 2
-    series = sum(x**k / math.factorial(k) for k in range(40))
-    assert got == pytest.approx(complex(series), abs=1e-12)
-
-
-def test_mode_value_out_of_range():
-    mode = ModeFunction("traveling", 0.0, 0.0)
-    with pytest.raises(IndexError):
-        mode_value(mode, 0, SPEC4)
-    with pytest.raises(IndexError):
-        mode_value(mode, 5, SPEC4)
-
-
-def test_mode_value_unit_modulus_and_real():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        k, phi = rng.uniform(-4, 4, size=2)
-        j = int(rng.integers(1, 5))
-        trav = mode_value(ModeFunction("traveling", k, phi), j, SPEC4)
-        assert abs(abs(trav) - 1.0) < 1e-12
-        stand = mode_value(ModeFunction("standing", k, phi), j, SPEC4)
-        assert stand.imag == 0.0
+    j = np.arange(1, n_sites + 1)
+    return np.exp(1j * (j * np.pi + np.pi)), np.ones(n_sites, dtype=complex)
 
 
 def test_coupling_maximum_is_occupation_sum():
     spec = LatticeSpec(3, 4, 2)
-    got = coupling_coefficient([2, 1, 0, 0], *max_modes(), spec)
+    got = coupling_coefficient([2, 1, 0, 0], *max_modes(4), spec)
     assert got == pytest.approx(3.0)
 
 
 def test_coupling_minimum_uniform_cancels():
     spec = LatticeSpec(4, 4, 4)
-    got = coupling_coefficient([1, 1, 1, 1], *min_modes(), spec)
+    got = coupling_coefficient([1, 1, 1, 1], *min_modes(4), spec)
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_coupling_minimum_alternating_sum():
     spec = LatticeSpec(6, 4, 4)
-    got = coupling_coefficient([3, 1, 2, 0], *min_modes(), spec)
+    got = coupling_coefficient([3, 1, 2, 0], *min_modes(4), spec)
     assert got == pytest.approx(3 - 1 + 2 - 0, abs=1e-12)
 
 
 def test_coupling_input_validation():
     spec = LatticeSpec(3, 4, 2)
     with pytest.raises(ValueError):
-        coupling_coefficient([1, 2], *max_modes(), spec)
+        coupling_coefficient([1, 2], *max_modes(4), spec)
     with pytest.raises(ValueError):
-        coupling_coefficient([1, -1, 2, 1], *max_modes(), spec)
+        coupling_coefficient([1, -1, 2, 1], *max_modes(4), spec)
+    for ml, mm in (max_modes(3), (np.ones(4), np.ones(2)),
+                   (np.ones((1, 4)), np.ones(4))):
+        with pytest.raises(ValueError, match="mode shapes"):
+            coupling_coefficient([1, 0, 2, 0], ml, mm, spec)
 
 
 def test_coupling_maximum_property_random_configs():
     rng = np.random.default_rng(7)
     spec = LatticeSpec(10, 6, 3)
-    ml, mm = max_modes()
+    ml, mm = max_modes(6)
     for _ in range(1000):
         q = rng.multinomial(10, np.ones(6) / 6)
         got = coupling_coefficient(q, ml, mm, spec)
@@ -120,7 +77,7 @@ def test_coupling_maximum_property_random_configs():
 def test_coupling_linearity():
     rng = np.random.default_rng(8)
     spec = LatticeSpec(5, 5, 5)
-    ml, mm = min_modes()
+    ml, mm = min_modes(5)
     for _ in range(200):
         q1 = rng.integers(0, 4, size=5)
         q2 = rng.integers(0, 4, size=5)
@@ -145,6 +102,16 @@ def test_scenario_geometry_minimum():
     assert geom.z_grid == tuple(range(-100, 101, 2))
     per_site = scenario_z(np.eye(100, dtype=int), Scenario.MINIMUM, spec)
     np.testing.assert_array_equal(per_site, (-1.0) ** np.arange(100))
+
+
+def test_scenario_modes_are_exact_read_only_site_values():
+    spec = LatticeSpec(6, 6, 6)
+    for scenario in Scenario:
+        geom = scenario_geometry(scenario, spec)
+        assert geom.probe.tolist() == [1] * 6
+        assert not (geom.probe.flags.writeable or geom.cavity.flags.writeable)
+    cavity = scenario_geometry(Scenario.MINIMUM, spec).cavity
+    assert cavity.tolist() == [1, -1, 1, -1, 1, -1]
 
 
 def test_scenario_geometry_transmission_small():
@@ -186,7 +153,8 @@ def test_scenario_d_equals_reduced_z(spec):
 def test_coupling_rows_equal_single_configurations():
     rng = np.random.default_rng(9)
     spec = LatticeSpec(8, 5, 3)
-    ml, mm = ModeFunction("traveling", 1.3, 0.2), ModeFunction("standing", 0.4)
+    j = np.arange(1, 6)
+    ml, mm = np.exp(1j * (1.3 * j + 0.2)), np.cos(0.4 * j)
     q = rng.integers(0, 4, size=(20, 5))
     rows = coupling_coefficient(q, ml, mm, spec)
     assert rows.shape == (20,)

@@ -60,15 +60,16 @@ def test_binomial_is_scipy_logpmf_bit_for_bit():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """A fresh `import latticemc` does not load scipy.stats, most of its
-    import time."""
+    """A fresh `import latticemc` loads neither scipy.stats, most of its
+    import time, nor scipy.linalg, which only the oracle's propagator uses."""
     src = str(Path(latticemc.__file__).resolve().parents[1])
     code = ("import sys, latticemc; "
-            "print(latticemc.__file__, 'scipy.stats' in sys.modules)")
+            "print(latticemc.__file__, 'scipy.stats' in sys.modules, "
+            "'scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout.split()
-    assert out[0].startswith(src) and out[1] == "False"
+    assert out[0].startswith(src) and out[1:] == ["False", "False"]
 
 
 def test_superfluid_difference_moments():

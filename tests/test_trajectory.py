@@ -983,6 +983,38 @@ def test_classify_rejects_multi_peak_state():
         classify_outcome(st, model)
 
 
+def peaked_state(n_z, heights, floor=1e-4):
+    """FinalState on z = 0..n_z-1: a flat floor with the given peaks."""
+    p = np.full(n_z, floor)
+    p[list(heights)] = list(heights.values())
+    return FinalState(ZDistribution(np.arange(n_z), p / p.sum()), m=5, t=1.0,
+                      tau=2.0)
+
+
+def test_classify_maximum_equal_peaks_are_a_doublet():
+    """Two equal, separated peaks (reachable only from a prior read from a
+    file: the superfluid's maximum-scenario posterior is log-concave)."""
+    out = classify_outcome(peaked_state(101, {30: 0.3, 70: 0.3}), max_model())
+    assert (out.kind, out.z1, out.z2) == ("doublet", 70, 30)
+    assert out.delta_z == (70 - 30) / 2
+    assert out.component_weights == (0.5, 0.5)
+
+
+def test_classify_maximum_rejects_unequal_peaks():
+    with pytest.raises(ClassificationError,
+                       match="2 peaks in maximum scenario"):
+        classify_outcome(peaked_state(101, {30: 0.3, 70: 0.2}), max_model())
+
+
+def test_classify_rejects_a_state_with_no_peak_at_the_threshold():
+    st = peaked_state(2001, {1000: 1.5e-4})  # its top weight is 7.5e-4
+    assert st.dist.probabilities.max() < trajectory.PEAK_WEIGHT_THRESHOLD
+    for model in (max_model(), trans_model()):
+        with pytest.raises(ClassificationError,
+                           match="no peak above the weight threshold"):
+            classify_outcome(st, model)
+
+
 def test_classify_reads_only_dist_m_t_and_tau():
     """Finished records classify again from a namespace holding only the
     final state's dist, m, t and tau, as the benchmark's output check

@@ -14,7 +14,8 @@ that length for the per-layer table.  Per-layer counts compare only at
 equal pass counts, so pick the two lengths to give equal passes (the
 faster side needs the shorter run); --pairs 0 runs the traced pair alone.
 
-The output file holds the environment, the seeds, every pair's end-to-end
+The output file holds the environment (with numpy's SIMD dispatch
+targets, as output bits depend on them), the seeds, every pair's end-to-end
 metrics, failures and output checks, per metric the medians and quartiles
 of each side and the number of pairs the change wins, and per side the
 operations attempted and failed over all pairs.  Each run also records its
@@ -96,6 +97,18 @@ def run_bench(tree: Path, args, trace: int, seconds: float) -> dict:
     result["output_bytes"] = {label: statistics.median(sizes)
                               for label, sizes in sorted(written.items())}
     return result, saved["environment"]
+
+
+def numpy_simd() -> list[str]:
+    """numpy's dispatch targets that this host turns on and
+    NPY_DISABLE_CPU_FEATURES leaves on; the runs inherit this environment."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import (__cpu_dispatch__,
+                                                  __cpu_features__)
+    return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
 
 
 def describe(run: dict) -> str:
@@ -201,7 +214,8 @@ def main(argv=None) -> int:
             print(f"traced {side}: {traced[side]['passes']} passes",
                   flush=True)
 
-    entry = {"workload": args.workload, "seed": args.seed, "environment": env,
+    entry = {"workload": args.workload, "seed": args.seed,
+             "environment": {**env, "numpy_simd": numpy_simd()},
              "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
              "change": {"commit": git("rev-parse", "HEAD"),
                         "uncommitted_changes": uncommitted_changes(args.out)}}
