@@ -9,10 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .optics import AmplitudeTable
-from .states import ZDistribution
+from .states import ZDistribution, log_factorials
 
 _TAIL_BOUND = 1e-10
 _START_SDS = 10.0  # truncation lies this many sds past the largest rate
@@ -77,7 +76,7 @@ def poisson_mixture(rates: np.ndarray, weights: np.ndarray
     lows = np.maximum(np.floor(rates - reach), 0.0).astype(int)
     highs = np.ceil(rates + reach).astype(int) + 1
     n = np.arange(n_max + 1)
-    log_factorial = gammaln(n + 1.0)
+    log_factorial = log_factorials(n_max)
     p = np.zeros(n_max + 1)
     # a zero rate or weight adds its weight to p[0]: a window of one term
     # whose exponent is 0 - rate - 0

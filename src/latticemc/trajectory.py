@@ -493,7 +493,8 @@ def _recording_grid(max_tau: float, sample_interval_tau: float | None,
     if n_steps > _MAX_STRIDES:
         raise ValueError(f"sample_interval_tau gives {n_steps:g} strides, "
                          f"more than {_MAX_STRIDES:g}")
-    snaps = np.unique([float(s) for s in snapshot_taus])
+    # + 0.0 turns a snapshot at -0 into 0, so no file is named tau-0
+    snaps = np.array(sorted({float(s) + 0.0 for s in snapshot_taus}))
     if not np.all((0 <= snaps) & (snaps <= max_tau)):
         raise ValueError("snapshots must lie in [0, max_tau]")
     points = np.concatenate([np.linspace(0.0, max_tau, int(n_steps) + 1),

@@ -573,6 +573,31 @@ def test_blank_snapshots_flag_clears_the_config_snapshots(tmp_path, flag):
     assert summary["config"]["snapshots"] == []
 
 
+@pytest.mark.parametrize("command", ["ensemble", "trajectory"])
+def test_a_negative_zero_snapshot_is_the_zero_snapshot(tmp_path, command):
+    """`snapshots = -0,0.7` writes the file names and data bytes that
+    `0,0.7` writes: no `_tau-0` file.  Only the echoed config differs."""
+    outputs = []
+    for snapshots in ("-0,0.7", "0,0.7"):
+        text = load_preset("fig2").replace("snapshots = 0,0.7,1.1,14.6",
+                                           f"snapshots = {snapshots}")
+        assert f"snapshots = {snapshots}\n" in text
+        out = tmp_path / snapshots
+        n_traj = ["--n-traj", "5"] if command == "ensemble" else []
+        assert main([command, "--config", str(write(tmp_path, text)),
+                     "--out", str(out), *n_traj]) == 0
+        files = {}
+        for path in sorted(out.iterdir()):
+            if path.suffix == ".json":
+                files[path.name] = {**json.loads(path.read_text()),
+                                    "config": None}
+            else:
+                files[path.name] = path.read_bytes()
+        outputs.append(files)
+    assert "tau0.csv" in "".join(outputs[1])
+    assert outputs[0] == outputs[1]
+
+
 def test_purity_sweep_command(tmp_path):
     out = tmp_path / "out"
     rc = main(["purity-sweep", "--preset", "fig6", "--out", str(out)])

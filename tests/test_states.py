@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,11 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
+from scipy.special import log1p as special_log1p
 from scipy.stats import binom
 
 import latticemc
+from latticemc import states
 from latticemc.geometry import LatticeSpec, Scenario
-from latticemc.states import (ZDistribution, _binomial, load_distribution,
+from latticemc.states import (ZDistribution, _binomial, _log1p,
+                              load_distribution, log_factorials,
                               mott_distribution, superfluid_atom_number,
                               superfluid_difference)
 from reference import gaussian_approximation
@@ -59,17 +64,76 @@ def test_binomial_is_scipy_logpmf_bit_for_bit():
     assert cases == 4092
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    """A fresh `import latticemc` loads neither scipy.stats, most of its
-    import time, nor scipy.linalg, which only the oracle's propagator uses."""
+def test_log_factorials_are_scipy_gammaln_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(states, "_log_factorial_table", np.zeros(0))
+    n = np.arange(2_000_001)
+    got = log_factorials(len(n) - 1)
+    assert got.tobytes() == gammaln(n + 1.0).tobytes()
+
+
+def test_log_factorials_grown_in_steps_equal_one_build(monkeypatch):
+    """Steps that cross cephes' branch edges (n = 11 | 12, x = 1000) give
+    the table one call builds, and each call's view is its prefix."""
+    monkeypatch.setattr(states, "_log_factorial_table", np.zeros(0))
+    views = {n: log_factorials(n) for n in (5, 11, 12, 998, 999, 1000,
+                                            200_000)}
+    stepped = views[200_000].tobytes()
+    monkeypatch.setattr(states, "_log_factorial_table", np.zeros(0))
+    assert log_factorials(200_000).tobytes() == stepped
+    for n, view in views.items():
+        assert len(view) == n + 1
+        assert view.tobytes() == stepped[:8 * (n + 1)]
+
+
+def test_log_factorials_are_read_only():
+    view = log_factorials(30)
+    with pytest.raises(ValueError, match="read-only"):
+        view[3] = 0.0
+    assert not log_factorials(5).flags.writeable
+
+
+def test_log1p_is_scipy_log1p_bit_for_bit():
+    """At every r = K/M with M <= 128, and at 1e5 random r in (0, 1], the
+    argument range `_binomial` gives it (r = 1 gives -inf)."""
+    r = [k / m for m in range(1, 129) for k in range(m + 1)]
+    r += (1.0 - np.random.default_rng(7).random(100_000)).tolist()
+    got = np.array([_log1p(-x) for x in r])
+    assert got.tobytes() == special_log1p(-np.array(r)).tobytes()
+
+
+# Each command the benchmark or a preset runs, in one process; oracle-check
+# last, as the one command that imports scipy (its `expm`).
+_IMPORT_CHILD = """\
+import json, sys
+import latticemc
+from latticemc import cli
+for name in ("fig2", "fig3", "fig4", "fig5"):
+    cfg = cli.parse_config(cli.load_preset(name))
+    p0 = cli.initial_distribution(cfg)
+    latticemc.amplitude_table(cli.probe_model(cfg), p0.z_values)
+codes, loaded = [], []
+for argv in ("ensemble --preset fig3 --n-traj 3", "trajectory --preset fig2",
+             "purity-sweep --preset fig6", "oracle-check"):
+    codes.append(cli.main([*argv.split(), "--out", sys.argv[1]]))
+    loaded.append(sorted(m for m in sys.modules if m == "numpy.ma"
+                         or m.startswith("numpy.ma.") or m == "scipy"
+                         or m.startswith("scipy.")))
+print(json.dumps([latticemc.__file__, codes, loaded]))
+"""
+
+
+def test_only_oracle_check_imports_scipy(tmp_path):
+    """Set-up and runs load no scipy module and not numpy.ma (neither is
+    deferred to a later call); oracle-check loads scipy.linalg alone."""
     src = str(Path(latticemc.__file__).resolve().parents[1])
-    code = ("import sys, latticemc; "
-            "print(latticemc.__file__, 'scipy.stats' in sys.modules, "
-            "'scipy.linalg' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}).stdout.split()
-    assert out[0].startswith(src) and out[1:] == ["False", "False"]
+    out = subprocess.run([sys.executable, "-c", _IMPORT_CHILD, str(tmp_path)],
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    file, codes, loaded = json.loads(out.splitlines()[-1])
+    assert file.startswith(src) and codes == [0, 0, 0, 0]
+    assert loaded[:3] == [[], [], []]
+    assert "scipy.linalg" in loaded[3]
+    assert not {"scipy.special", "scipy.stats"} & set(loaded[3])
 
 
 def test_superfluid_difference_moments():
