@@ -385,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
         common(p)
         p.add_argument("--seed", help="override the config seed")
         p.add_argument("--snapshots",
-                       help="comma-separated tau values for p(z) dumps")
+                       help="comma-separated tau values for p(z) dumps; "
+                            "write a list that starts with '-' as "
+                            "--snapshots=-0,0.7")
 
     p_pur = sub.add_parser("purity-sweep", help="purity vs doublet splitting")
     common(p_pur)

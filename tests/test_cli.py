@@ -573,6 +573,21 @@ def test_blank_snapshots_flag_clears_the_config_snapshots(tmp_path, flag):
     assert summary["config"]["snapshots"] == []
 
 
+def test_a_snapshots_list_that_starts_with_minus_takes_the_equals_form(
+        tmp_path, capsys):
+    """argparse reads the `-0,0.7` of `--snapshots -0,0.7` as an option and
+    exits 2; `--snapshots=-0,0.7`, as the help says, runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble", "--preset", "fig2", "--snapshots", "-0,0.7",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert main(["ensemble", "--preset", "fig2", "--n-traj", "2",
+                 "--snapshots=-0,0.7", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("m_hist_tau*.csv")) == [
+        "m_hist_tau0.7.csv", "m_hist_tau0.csv"]
+
+
 @pytest.mark.parametrize("command", ["ensemble", "trajectory"])
 def test_a_negative_zero_snapshot_is_the_zero_snapshot(tmp_path, command):
     """`snapshots = -0,0.7` writes the file names and data bytes that

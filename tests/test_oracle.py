@@ -1,10 +1,14 @@
+import contextlib
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.stats import binom
 
+from latticemc import oracle
 from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import ProbeModel, transient_amplitude
-from latticemc.oracle import (CutoffError, JointState, apply_jump,
+from latticemc.oracle import (CutoffError, JointState, _expm, apply_jump,
                               compare_with_exact, compositions,
                               evolve_nonhermitian, run_script,
                               superfluid_joint_state, z_marginal)
@@ -194,3 +198,83 @@ def test_run_script_rejects_late_jumps():
     joint = superfluid_joint_state(spec, n_max=3)
     with pytest.raises(ValueError):
         run_script(joint, model, spec, (5.0,), 2.0)
+
+
+def assert_close_to_scipy(a):
+    """_expm within 1e-12 of scipy's `expm`, relative to each slice's
+    largest entry."""
+    got, want = _expm(a), expm(a)
+    scale = np.abs(want).max(axis=(-2, -1))
+    assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-12 * scale).all()
+
+
+def test_expm_matches_scipy_on_oracle_generators(monkeypatch):
+    """The stacks `evolve_nonhermitian` exponentiates: N = 2-3 atoms on
+    M = 2 sites, photon ladders of 5 and 11 levels, weak and strong drive,
+    durations from 0.5 to 20."""
+    stacks = []
+
+    def record(a):
+        stacks.append(a.copy())
+        return expm(a)
+
+    monkeypatch.setattr(oracle, "_expm", record)
+    for n_atoms in (2, 3):
+        spec = LatticeSpec(n_atoms, 2, 1)
+        for n_max in (4, 10):
+            joint = superfluid_joint_state(spec, n_max=n_max)
+            for scenario in (Scenario.TRANSMISSION, Scenario.MAXIMUM):
+                for drive in (1e-4, 0.3):
+                    for t in (0.5, 2.5, 16.0, 20.0):
+                        with contextlib.suppress(CutoffError):
+                            evolve_nonhermitian(joint, probe(scenario, drive),
+                                                spec, t)
+    assert len(stacks) == 64
+    for a in stacks:
+        assert_close_to_scipy(a)
+
+
+def test_expm_matches_scipy_on_random_stacks():
+    """Complex stacks of 1-11 levels with strongly damped diagonals."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        k, n = rng.integers(1, 5), rng.integers(1, 12)
+        a = (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+             ) * rng.uniform(0.01, 5.0)
+        a -= rng.uniform(0.0, 60.0, size=(k, 1, n)) * np.eye(n)
+        assert_close_to_scipy(a)
+
+
+def test_expm_of_zero_is_the_identity_bit_for_bit():
+    got = _expm(np.zeros((2, 4, 4), dtype=complex))
+    assert got.tobytes() == np.array([np.eye(4, dtype=complex)] * 2).tobytes()
+
+
+def test_expm_of_a_diagonal_is_elementwise_exp():
+    rng = np.random.default_rng(6)
+    d = rng.uniform(-60.0, 1.0, (3, 6)) + 1j * rng.uniform(-10.0, 10.0, (3, 6))
+    eye = np.eye(6)
+    np.testing.assert_allclose(_expm(d[:, :, None] * eye),
+                               np.exp(d)[:, :, None] * eye, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("c", [1.0, 10.0])
+def test_expm_of_a_nilpotent_jordan_block(c):
+    """exp(c N) = I + c N + (c N)^2 / 2 for the 3 x 3 shift N; at c = 10 the
+    1-norm exceeds theta_13, so the squarings run."""
+    nil = c * np.eye(3, k=1)
+    want = np.eye(3) + nil + nil @ nil / 2
+    np.testing.assert_allclose(_expm(nil[None] + 0j)[0], want,
+                               rtol=1e-14, atol=1e-14)
+
+
+def test_expm_slices_do_not_depend_on_their_stack():
+    """Each slice of a stack whose 1-norms need 0 to 8 squarings equals the
+    slice exponentiated alone, bit for bit."""
+    rng = np.random.default_rng(8)
+    a = (rng.normal(size=(8, 5, 5)) + 1j * rng.normal(size=(8, 5, 5))
+         ) * np.logspace(-3, 2, 8)[:, None, None]
+    a -= np.logspace(-2, 2.5, 8)[:, None, None] * np.eye(5)
+    full = _expm(a)
+    for i in range(len(a)):
+        assert full[i].tobytes() == _expm(a[i:i + 1])[0].tobytes()

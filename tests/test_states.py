@@ -101,8 +101,8 @@ def test_log1p_is_scipy_log1p_bit_for_bit():
     assert got.tobytes() == special_log1p(-np.array(r)).tobytes()
 
 
-# Each command the benchmark or a preset runs, in one process; oracle-check
-# last, as the one command that imports scipy (its `expm`).
+# Each command the benchmark or a preset runs, in one process, after the
+# benchmark's set-up; none may import scipy or numpy.ma.
 _IMPORT_CHILD = """\
 import json, sys
 import latticemc
@@ -122,18 +122,16 @@ print(json.dumps([latticemc.__file__, codes, loaded]))
 """
 
 
-def test_only_oracle_check_imports_scipy(tmp_path):
-    """Set-up and runs load no scipy module and not numpy.ma (neither is
-    deferred to a later call); oracle-check loads scipy.linalg alone."""
+def test_no_command_imports_scipy(tmp_path):
+    """Set-up and all four commands, oracle-check included, load no scipy
+    module and not numpy.ma (neither is deferred to a later call)."""
     src = str(Path(latticemc.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _IMPORT_CHILD, str(tmp_path)],
                          check=True, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     file, codes, loaded = json.loads(out.splitlines()[-1])
     assert file.startswith(src) and codes == [0, 0, 0, 0]
-    assert loaded[:3] == [[], [], []]
-    assert "scipy.linalg" in loaded[3]
-    assert not {"scipy.special", "scipy.stats"} & set(loaded[3])
+    assert loaded == [[], [], [], []]
 
 
 def test_superfluid_difference_moments():
