@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
@@ -203,17 +204,140 @@ def load_preset(name: str) -> str:
     return resources.files("latticemc.presets").joinpath(f"{name}.cfg").read_text()
 
 
-_CSV_CHUNK_ROWS = 1 << 16
+_CSV_CHUNK_ROWS = 1 << 13
+# Below this many values a float column is formatted one value at a time:
+# the kernel's fixed numpy cost, 0.1-0.15 ms a call, is that of "%.17g" on
+# ~200 values (0.5-0.9 us each; 2 vCPUs, numpy 2.4).
+_KERNEL_MIN_VALUES = 256
+# The fast path writes the decimal exponents X in [_EXP_MIN, _EXP_MAX], and
+# only where "%.17g" takes its exponent layout (X < -4 or X > 16).
+_EXP_MIN, _EXP_MAX = -290, 289
+# A 17th-digit rounding is decided where the fraction of |x| 10^(16 - X)
+# lies at least this far from 1/2 (exact ties occur, for X in -8..-5).  The
+# products below err by < 2^-47, of which < 2^-49 from 10^(16 - X) ending
+# at its mid term, so a lo term would change no text.
+_TIE_MARGIN = 2.0 ** -36
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split into two 26-bit halves
 
 
-def _conversion(values: np.ndarray) -> str:
-    """The `%` conversion of a column's entries: integers in decimal, floats
-    at 17 significant digits (exact round trip), strings as they are."""
-    if np.issubdtype(values.dtype, np.integer):
-        return "%d"
+def _dekker_split(f: float) -> tuple[float, float]:
+    e = math.frexp(f)[1]  # split the mantissa, so that nothing overflows
+    s = math.ldexp(f, -e)
+    c = s * _SPLIT
+    hi = c - (c - s)
+    return math.ldexp(hi, e), math.ldexp(s - hi, e)
+
+
+@lru_cache(maxsize=None)
+def _float_text_tables():
+    """Per decimal exponent X: 10^(16 - X) as hi + mid doubles from exact
+    integer arithmetic, with hi's Dekker halves, and the text `e±XX`; and
+    the texts 00..99 of a base-100 digit.  Built on first use."""
+    pow10, suffixes = [], []
+    for x in range(_EXP_MIN, _EXP_MAX + 1):
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        hi = num / den  # int / int is correctly rounded
+        n, d = hi.as_integer_ratio()
+        mid = (num * d - n * den) / (den * d)
+        pow10.append((hi, *_dekker_split(hi), mid))
+        suffixes.append((b"e%+03d" % x).ljust(6, b"\0"))
+    return (np.array(pow10).T.copy(),
+            np.frombuffer(b"".join(suffixes), np.uint16).reshape(-1, 3).T.copy(),
+            np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16))
+
+
+def _float_texts(values: np.ndarray) -> list[bytes]:
+    """Each value's `"%.17g"` text, byte for byte: from the numpy kernel
+    `_exponent_texts` where it decides the value, else from `"%.17g"`."""
+    x = values.astype(np.float64, copy=False)
+    if len(x) < _KERNEL_MIN_VALUES:
+        return [b"%.17g" % v for v in x.tolist()]
+    out, slow = _exponent_texts(x)
+    for i, v in zip(slow.tolist(), x[slow].tolist()):
+        out[i] = b"%.17g" % v
+    return out
+
+
+def _exponent_texts(x: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+    """The `"%.17g"` texts of float64 values, and the indices of those it
+    leaves undecided, whose texts are placeholders.
+
+    The 17 digits D = round(|x| 10^(16 - X)) come from Dekker two-products
+    against a hi + mid table of 10^(16 - X), X seeded by `log10`.  A
+    value whose D lies in [10^16, 10^17) before and after rounding, with
+    its rounding decided by a margin, is laid out as `d.dddde±XX` in a
+    24-byte row.  Undecided are zeros, near-ties, nan, inf, subnormals,
+    |x| outside about [1e-290, 1e290] and the fixed notation of
+    [1e-4, 1e17)."""
+    pow10, suffixes, pairs = _float_text_tables()
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exp = np.floor(np.log10(a))
+    fast = (exp >= _EXP_MIN) & (exp <= _EXP_MAX) & ((exp < -4) | (exp > 16))
+    row = np.where(fast, exp - _EXP_MIN, 0).astype(np.intp)
+    a = np.where(fast, a, 10.0 ** _EXP_MIN)
+    hi, hi_hi, hi_lo, mid = pow10[:, row]
+    prod = a * hi  # an integer wherever D lands in range
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    rest = ((((a_hi * hi_hi - prod) + a_hi * hi_lo) + a_lo * hi_hi)
+            + a_lo * hi_lo) + a * mid
+    whole = np.floor(rest)
+    frac = rest - whole
+    digits = prod.astype(np.int64) + whole.astype(np.int64)
+    fast &= (digits >= 10 ** 16) & (np.abs(frac - 0.5) >= _TIE_MARGIN)
+    digits += frac > 0.5
+    fast &= digits < 10 ** 17
+    digits[~fast] = 10 ** 16
+
+    # text: the lead digit and '.', 8 base-100 digits, e±XX, as uint16
+    lead, tail = np.divmod(digits, 10 ** 16)
+    limbs = np.empty((8, len(x)), np.uint32)
+    for last, half in zip((3, 7), np.divmod(tail, 10 ** 8)):
+        half = half.astype(np.uint32)
+        for j in range(last, last - 4, -1):
+            half, limbs[j] = np.divmod(half, np.uint32(100))
+    cols = np.empty((12, len(x)), np.uint16)
+    cols[0] = lead + (ord("0") + (ord(".") << 8))
+    np.take(pairs, limbs, out=cols[1:9])
+    np.take(suffixes, row, axis=1, out=cols[9:])
+    text = np.ascontiguousarray(cols.T).view(np.uint8)
+
+    # strip trailing zeros: move the suffix left, one group per length
+    ends = np.flatnonzero(limbs[7] % 10 == 0)  # one trailing zero at least
+    nonzero = limbs[:, ends] != 0
+    zero_limbs = np.where(nonzero.any(axis=0),
+                          np.argmax(nonzero[::-1], axis=0), 8)
+    last = limbs[7 - np.minimum(zero_limbs, 7), ends]
+    zeros = np.minimum(2 * zero_limbs + (last % 10 == 0), 16)
+    for n_zeros in np.flatnonzero(np.bincount(zeros)):
+        rows = ends[zeros == n_zeros]
+        start = 1 if n_zeros == 16 else 18 - n_zeros  # no '.' left
+        text[rows, start:start + 6] = text[rows, 18:24]
+        text[rows, start + 6:] = 0
+    neg = np.flatnonzero(np.signbit(x))
+    text[neg, 1:] = text[neg, :-1]
+    text[neg, 0] = ord("-")
+
+    texts = text.view("S24").ravel().tolist()  # without the NUL padding
+    return texts, np.flatnonzero(~fast)
+
+
+def _conversion(values: np.ndarray) -> bytes:
+    """The `%` conversion of a column's cells: integers in decimal, and the
+    bytes of everything else."""
+    return b"%d" if np.issubdtype(values.dtype, np.integer) else b"%b"
+
+
+def _cells(values: np.ndarray) -> list:
+    """A column's cells for its conversion: integers as they are, floats as
+    their `"%.17g"` texts (exact round trip), strings as UTF-8 bytes."""
+    if np.issubdtype(values.dtype, np.integer) or values.dtype.kind == "S":
+        return values.tolist()
     if np.issubdtype(values.dtype, np.floating):
-        return "%.17g"
-    return "%s"
+        return _float_texts(values)
+    return [str(v).encode() for v in values.tolist()]
 
 
 def _write_columns(path: Path, header: list[str], columns):
@@ -225,12 +349,12 @@ def _write_columns(path: Path, header: list[str], columns):
     if len(set(lengths)) > 1:
         raise ValueError(f"columns {header} have unequal lengths {lengths}")
     n_rows = lengths[0] if columns else 0
-    row = ",".join(map(_conversion, columns)) + "\n"
+    row = b",".join(map(_conversion, columns)) + b"\n"
     width = len(columns)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
         for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            chunk = [c[start:start + _CSV_CHUNK_ROWS].tolist()
+            chunk = [_cells(c[start:start + _CSV_CHUNK_ROWS])
                      for c in columns]
             cells = [None] * (len(chunk[0]) * width)
             for j, values in enumerate(chunk):
@@ -313,8 +437,7 @@ def _m_histogram(samples: np.ndarray, closed: np.ndarray):
     hist = np.bincount(samples, minlength=len(closed))
     theory = np.zeros(len(hist))
     theory[:len(closed)] = closed
-    empirical = np.array(["%.17g" % (k / n) for k in range(n + 1)],
-                         dtype=object)[hist]
+    empirical = np.array([b"%.17g" % (k / n) for k in range(n + 1)])[hist]
     return [np.arange(len(hist)), empirical, theory]
 
 

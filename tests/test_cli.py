@@ -516,20 +516,32 @@ def _write_rows(path: Path, header: list[str], rows):
 WRITER_VALUES = [0.0, -0.0, 5e-324, 1e-310, 1 / 3, 1e300, -2.5,
                  np.float64(1.7976931348623157e308), np.float64(-1e-300),
                  np.float64(123456789.123456789), 1.0, 1e16, 0.1]
+# (chunk rows, rows): the hand-picked rows alone, and rows enough for the
+# float kernel in every chunk
+WRITER_CASES = {**{str(chunk): (chunk, 13) for chunk in [1, 3, 4, 13, 1 << 16]},
+                "kernel": (1000, 5000)}
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 4, 13, 1 << 16])
-def test_column_writer_matches_row_writer(tmp_path, monkeypatch, chunk):
+@pytest.mark.parametrize("chunk, n", WRITER_CASES.values(), ids=WRITER_CASES)
+def test_column_writer_matches_row_writer(tmp_path, monkeypatch, chunk, n):
     monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)
-    n = len(WRITER_VALUES)
-    ints = np.array([0, -1, 2**62, -2**63, 2**63 - 1, 7, 10**18, -5, 1, 2,
-                     3, 4, 99], dtype=np.int64)
-    floats = np.array(WRITER_VALUES, dtype=float)
+    assert n == len(WRITER_VALUES) or chunk >= cli._KERNEL_MIN_VALUES
+    ints = np.resize(np.array([0, -1, 2**62, -2**63, 2**63 - 1, 7, 10**18,
+                               -5, 1, 2, 3, 4, 99], dtype=np.int64), n)
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2**64 - 1, size=n, dtype=np.uint64)
     rand = bits.view(np.float64)  # any sign and exponent
-    rand = np.where(np.isfinite(rand), rand, 0.5)
-    words = ["singlet", "doublet", "", "52"] * 3 + ["x"]
+    values = list(WRITER_VALUES)
+    if n == len(WRITER_VALUES):
+        rand = np.where(np.isfinite(rand), rand, 0.5)
+    else:  # either sign, zeros, non-finite, fixed and exponent notation
+        more = 10.0 ** rng.uniform(-12, 22, n - len(values) - 6)
+        more *= rng.choice([-1.0, 1.0], len(more))
+        values += [*more.tolist(), 0.0, -0.0, math.nan, math.inf, -math.inf,
+                   -1e-5]
+        assert not np.isfinite(rand).all()
+    floats = np.array(values, dtype=float)
+    words = ((["singlet", "doublet", "", "52"] * 3 + ["x"]) * n)[:n]
     header = ["i", "x", "y", "kind"]
     _write_rows(tmp_path / "rows.csv", header,
                 zip(ints, floats, rand, words))
@@ -541,9 +553,134 @@ def test_column_writer_matches_row_writer(tmp_path, monkeypatch, chunk):
     assert b",-0," in want and b",4.9406564584124654e-324," in want
     # Python scalars in lists, as the trajectory writer passes them
     cli._write_columns(tmp_path / "lists.csv", header,
-                       [[int(v) for v in ints], list(WRITER_VALUES),
-                        rand.tolist(), words])
+                       [[int(v) for v in ints], values, rand.tolist(), words])
     assert (tmp_path / "lists.csv").read_bytes() == want
+
+
+def formatted(values: np.ndarray) -> list[bytes]:
+    return [format(v, ".17g").encode() for v in values.tolist()]
+
+
+def test_float_texts_match_format_on_random_bit_patterns():
+    """1e6 float64 bit patterns: every sign and exponent, nan and inf."""
+    rng = np.random.default_rng(2024)
+    for _ in range(10):
+        x = rng.integers(0, 2**64 - 1, size=100_000, dtype=np.uint64,
+                         endpoint=True).view(np.float64)
+        assert cli._float_texts(x) == formatted(x)
+
+
+def exact_ties() -> list[float]:
+    """Doubles whose 17th digit is a tie, which `%.17g` rounds half to
+    even: j 2^-(q+1), j odd, times 10^q is j 5^q / 2, in the exponent
+    layout where that has 17 digits (X = 16 - q, q in 21..24), and two in
+    fixed notation, which round to ...6.2 and ...6.8."""
+    ties = [1234567890123456.25, 1234567890123456.75]
+    for q in range(21, 25):
+        ties += [math.ldexp(j, -(q + 1)) for j in range(1, 1000, 2)
+                 if 10**16 <= j * 5**q // 2 < 10**17]
+    return ties
+
+
+def near_ties() -> list[float]:
+    """Doubles M 2^e in [10^(16+k), 10^(17+k)) whose 17-digit scaling
+    M 2^e / 10^k lies 1/(2 5^k) from a tie, for k in 17..22: within the
+    kernel's margin, and down to below its products' rounding error."""
+    out = []
+    for k in range(17, 23):
+        f = 5**k
+        for e in range(k, 140):
+            inverse = pow(2 ** (e - k), -1, f)
+            for r in ((f - 1) // 2, (f + 1) // 2):
+                m0 = r * inverse % f
+                first = m0 + (2**52 - m0 + f - 1) // f * f
+                out += [float(m * 2**e) for m in range(first, 2**53, f)
+                        if 10 ** (16 + k) <= m * 2**e < 10 ** (17 + k)]
+    return out
+
+
+def test_float_texts_match_format_on_hard_cases():
+    rng = np.random.default_rng(5)
+    ties, near = exact_ties(), near_ties()
+    powers = np.array([float(f"1e{k}") for k in range(-330, 311)])
+    short = [float(f"{m}e{k}") for m, k in zip(
+        rng.integers(1, 10 ** rng.integers(1, 17, 4000)),
+        rng.integers(-300, 300, 4000))]  # 1 to 16 trailing zeros
+    subnormal = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    cases = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        [math.ldexp(1.0, k) for k in range(-1074, 1024)], short,
+        ties, near, subnormal, [2.2250738585072014e-308,
+        2.2250738585072009e-308, 1.7976931348623157e308, 0.0, math.nan,
+        math.inf]])
+    assert len(near) > 1000
+    for x in (cases, -cases):
+        assert cli._float_texts(x) == formatted(x)
+    texts = dict(zip(ties[:2], cli._float_texts(np.array(ties))[:2]))
+    assert texts == {1234567890123456.25: b"1234567890123456.2",
+                     1234567890123456.75: b"1234567890123456.8"}
+
+
+@pytest.mark.parametrize("shift", [-0.3, 0.3])
+def test_float_texts_survive_a_wrong_exponent_seed(monkeypatch, shift):
+    """`log10` only seeds the decimal exponent X: where it is one off, the
+    17 digits fall outside [10^16, 10^17) and `%.17g` writes the value."""
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    x = np.random.default_rng(11).integers(
+        0, 2**64 - 1, size=100_000, dtype=np.uint64).view(np.float64)
+    undecided = cli._exponent_texts(x)[1]
+    assert 0.1 < len(undecided) / len(x) < 0.9
+    assert cli._float_texts(x) == formatted(x)
+
+
+MAX_COLLAPSE = """
+scenario = maximum
+n_atoms = 100
+n_sites = 100
+n_illuminated = 50
+kappa = 1.0
+drive_scale = 1.0
+max_tau = 30
+stop_fwhm = 0
+sample_interval_tau = 0.25
+snapshots = 0.5,5,30
+"""
+
+
+def closed_form_columns(text: str) -> dict[float, np.ndarray]:
+    """Per snapshot tau, the closed-form column of the m_hist file that
+    `ensemble` writes for a config."""
+    cfg = parse_config(text)
+    p0, model = cli.initial_distribution(cfg), probe_model(cfg)
+    run = trajectory.run_ensemble(
+        p0, model, [[0, 0]], max_tau=cfg.max_tau, stop_fwhm=cfg.stop_fwhm,
+        sample_interval_tau=cfg.sample_interval_tau,
+        snapshot_taus=cfg.snapshots)
+    table = amplitude_table(model, p0.z_values)
+    return {tau: photocount_distribution(p0, table, model.kappa,
+                                         run.t[k]).probabilities
+            for tau, k in run.snapshot_strides}
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5",
+                                  "max-collapse"])
+def test_float_texts_match_format_on_the_closed_form_columns(name):
+    text = MAX_COLLAPSE if name == "max-collapse" else load_preset(name)
+    for column in closed_form_columns(text).values():
+        assert cli._float_texts(column) == formatted(column)
+
+
+def test_float_kernel_decides_the_max_collapse_column():
+    """A kernel that left every value to `%.17g` would write the same
+    bytes, only slower: at tau = 30, 217 449 values, it decides >= 99%."""
+    column = closed_form_columns(MAX_COLLAPSE)[30.0]
+    texts, undecided = cli._exponent_texts(column)
+    assert len(column) > 200_000
+    assert len(undecided) <= 0.01 * len(column)
+    decided = np.delete(np.arange(len(column)), undecided)
+    assert ([texts[i] for i in decided]
+            == formatted(column[decided]))
 
 
 def test_column_writer_empty(tmp_path):

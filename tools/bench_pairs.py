@@ -23,7 +23,11 @@ failures by operation label, and each pair prints them.  Each run also
 records, per operation label, the median bytes its successful operations
 wrote: a deterministic work counter that machine drift does not move.
 Each pair prints it, and the summary gives its median over the pairs per
-side.  A warning is printed when
+side.  Each run also records its CPU time, `cpu_s`: the user + system time
+of the benchmark process and of every child it waited for (the set-up
+children that time `setup_s` included), with its wall time, `wall_s`; the
+summary gives each side's CPU seconds per wall second, which tells a
+change of the code from a change of its thread count.  A warning is printed when
 the change fails a larger share of its operations than the base, when its
 median of an end-to-end metric is worse than the base's by more than that
 metric's relative `bound` in BENCHMARK.json, or when either side writes
@@ -37,12 +41,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 from collections import Counter
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,10 +84,17 @@ def run_bench(tree: Path, args, trace: int, seconds: float) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
             "--seed", str(args.seed), "--seconds", str(seconds),
             "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if done.returncode != 0:
         raise RuntimeError(f"benchmark failed in {tree}:\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
+    result["wall_s"] = wall
+    result["cpu_s"] = (after.ru_utime + after.ru_stime
+                       - before.ru_utime - before.ru_stime)
     path = (tree / "perfbench" / "out" / "results"
             / f"{args.workload}-seed{args.seed}-trace{trace}.json")
     with open(path) as fh:
@@ -112,9 +125,10 @@ def numpy_simd() -> list[str]:
 
 
 def describe(run: dict) -> str:
-    """Passes, per failing label its failures, and per label the median
-    bytes written."""
-    return f"{run['passes']} passes" + "".join(
+    """Passes, CPU and wall seconds, per failing label its failures, and
+    per label the median bytes written."""
+    return (f"{run['passes']} passes, cpu {run['cpu_s']:.1f} s of wall "
+            f"{run['wall_s']:.1f} s") + "".join(
         f", {label} failed {n}x"
         for label, n in run["failed_ops"].items()) + ", bytes " + ", ".join(
         f"{label} {size:.0f}" for label, size in run["output_bytes"].items())
@@ -153,6 +167,15 @@ def output_bytes(pairs: list[dict]) -> dict:
                        if label in p[side]["output_bytes"])
                    for label in sorted({label for p in pairs
                                         for label in p[side]["output_bytes"]})}
+            for side in ("base", "change")}
+
+
+def cpu_time(pairs: list[dict]) -> dict:
+    """Per side: the spread of each run's CPU seconds and of its CPU
+    seconds per wall second."""
+    return {side: {"cpu_s": spread([p[side]["cpu_s"] for p in pairs]),
+                   "cpu_per_wall": spread([p[side]["cpu_s"] / p[side]["wall_s"]
+                                           for p in pairs])}
             for side in ("base", "change")}
 
 
@@ -223,6 +246,7 @@ def main(argv=None) -> int:
         entry.update(seconds=args.seconds, summary=summarise(pairs, metrics),
                      failures=failures(pairs),
                      output_bytes=output_bytes(pairs),
+                     cpu=cpu_time(pairs),
                      quartiles="statistics.quantiles(n=4), exclusive method",
                      pairs=pairs)
     if traced:
@@ -243,6 +267,10 @@ def main(argv=None) -> int:
         after = written["change"].get(label, 0)
         print(f"bytes {label:12s} {size:.0f} -> {after:.0f}"
               + (f" ({after / size:.3f}x)" if size else ""))
+    if "cpu" in entry:
+        print("cpu per wall  " + " -> ".join(
+            f"{entry['cpu'][side]['cpu_per_wall']['median']:.3f}"
+            for side in ("base", "change")))
     if "failures" in entry:
         base, change = entry["failures"]["base"], entry["failures"]["change"]
         print("failed share  " + " -> ".join(
