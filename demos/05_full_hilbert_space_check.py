@@ -23,8 +23,7 @@ jump_times = (16.0, 18.5)
 t_end = 20.0
 
 joint = superfluid_joint_state(spec, n_max=4)
-print(f"joint space: {len(joint.configs)} configurations x "
-      f"{joint.n_max + 1} photon levels")
+print(f"joint state shape: {joint.shape} (configurations x photon levels)")
 
 joint = run_script(joint, model, spec, jump_times, t_end)
 full = z_marginal(joint, Scenario.TRANSMISSION, spec)

@@ -12,9 +12,8 @@ from .geometry import (LatticeSpec, Scenario, ScenarioGeometry,
                        coupling_coefficient, scenario_geometry)
 from .optics import (AmplitudeTable, ProbeModel, amplitude_table, cat_phase,
                      steady_amplitude, transient_amplitude)
-from .oracle import (JointState, apply_jump, compare_with_exact,
-                     evolve_nonhermitian, run_script, superfluid_joint_state,
-                     z_marginal)
+from .oracle import (apply_jump, compare_with_exact, evolve_nonhermitian,
+                     run_script, superfluid_joint_state, z_marginal)
 from .photostats import PhotonDistribution, photocount_distribution
 from .purity import purity, purity_sweep
 from .states import (ZDistribution, load_distribution, mott_distribution,

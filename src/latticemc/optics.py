@@ -66,21 +66,16 @@ class ProbeModel:
 
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """Steady amplitudes alpha_z on the z grid, read-only."""
+    """Steady amplitudes alpha_z on the caller's z grid, read-only."""
 
-    z_values: np.ndarray
     alpha: np.ndarray
     c_constant: complex
 
     def __post_init__(self):
-        z = np.array(self.z_values, dtype=int)
         a = np.array(self.alpha, dtype=complex)
-        if z.shape != a.shape:
-            raise ValueError("z_values and alpha must have equal shape")
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite amplitude")
-        z.flags.writeable = a.flags.writeable = False
-        object.__setattr__(self, "z_values", z)
+        a.flags.writeable = False
         object.__setattr__(self, "alpha", a)
 
     @cached_property
@@ -107,8 +102,8 @@ def steady_amplitude(model: ProbeModel, z) -> complex | np.ndarray:
 
 
 def amplitude_table(model: ProbeModel, z_grid) -> AmplitudeTable:
-    z = np.asarray(z_grid, dtype=int)
-    return AmplitudeTable(z, steady_amplitude(model, z), model.c_constant)
+    return AmplitudeTable(steady_amplitude(model, np.asarray(z_grid, dtype=int)),
+                          model.c_constant)
 
 
 def _decay_exponent(model: ProbeModel, z: float) -> complex:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -37,67 +36,35 @@ def compositions(n_atoms: int, n_sites: int) -> list[tuple[int, ...]]:
             if sum(q) == n_atoms]
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Amplitudes indexed by (configuration, photon number)."""
+def superfluid_joint_state(spec: LatticeSpec, n_max: int) -> np.ndarray:
+    """Superfluid atomic state (multinomial amplitudes) in the empty cavity.
 
-    configs: tuple[tuple[int, ...], ...]
-    n_max: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (len(self.configs), self.n_max + 1):
-            raise ValueError("amplitude array shape mismatch")
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def photon_tail_fraction(self) -> float:
-        """Weight fraction sitting in the topmost photon level."""
-        w = np.abs(self.amplitudes) ** 2
-        total = w.sum()
-        return float(w[:, -1].sum() / total) if total > 0 else 0.0
-
-
-def superfluid_joint_state(spec: LatticeSpec, n_max: int = 8) -> JointState:
-    """Superfluid atomic state (multinomial amplitudes) in the empty cavity:
-    every configuration's light sits in the photon vacuum."""
+    The joint state is a complex (configuration x photon number 0..n_max)
+    array, its rows in `compositions` order; every configuration's light
+    sits in the photon vacuum.
+    """
     cfgs = compositions(spec.n_atoms, spec.n_sites)
     c = np.array([math.sqrt(math.factorial(spec.n_atoms)
                             / math.prod(math.factorial(qj) for qj in q))
                   for q in cfgs])
     amplitudes = np.zeros((len(cfgs), n_max + 1), dtype=complex)
     amplitudes[:, 0] = c / math.sqrt(spec.n_sites ** spec.n_atoms)
-    return JointState(tuple(cfgs), n_max, amplitudes)
+    return amplitudes
 
 
 @lru_cache(maxsize=32)
-def _mode_sums(configs: tuple, scenario: Scenario, spec: LatticeSpec
+def _mode_sums(scenario: Scenario, spec: LatticeSpec
                ) -> tuple[np.ndarray, np.ndarray]:
-    """(D_10, D_11) per configuration from the scenario's mode functions.
+    """(D_10, D_11) per configuration, in `compositions` order.
 
     D_10 is the configuration's z; read-only, computed once per lattice.
     """
     geom = scenario_geometry(scenario, spec)
-    q = np.array(configs)
+    q = np.array(compositions(spec.n_atoms, spec.n_sites))
     d10 = coupling_coefficient(q, geom.cavity, geom.probe, spec)
     d11 = coupling_coefficient(q, geom.cavity, geom.cavity, spec).real
     d10.flags.writeable = d11.flags.writeable = False
     return d10, d11
-
-
-def _config_couplings(state: JointState, model: ProbeModel, spec: LatticeSpec
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(dispersive detuning delta_q, probe coupling g_q) per configuration.
-
-    The shift u11 vanishes for transverse probing and the probe a0 in
-    transmission, so each scenario keeps only its own term.
-    """
-    d10, d11 = _mode_sums(state.configs, model.scenario, spec)
-    return model.u11 * d11 - model.delta_p, model.u10 * model.a0 * d10
 
 
 # Higham's degree-13 Pade approximant (SIAM J. Matrix Anal. Appl. 26, 2005)
@@ -147,8 +114,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def evolve_nonhermitian(state: JointState, model: ProbeModel,
-                        spec: LatticeSpec, duration: float) -> JointState:
+def evolve_nonhermitian(amplitudes: np.ndarray, model: ProbeModel,
+                        spec: LatticeSpec, duration: float) -> np.ndarray:
     """Advance the unnormalized joint state by `duration` (exact propagator).
 
     One stacked `_expm` (Pade-13 scaling and squaring, within 1e-12 of a
@@ -161,11 +128,17 @@ def evolve_nonhermitian(state: JointState, model: ProbeModel,
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
+    d10, d11 = _mode_sums(model.scenario, spec)
+    if np.ndim(amplitudes) != 2 or len(amplitudes) != len(d10):
+        raise ValueError("joint state needs one row per configuration")
     if duration == 0:
-        return state
+        return amplitudes
 
-    delta, g = _config_couplings(state, model, spec)
-    n = np.arange(state.n_max + 1)
+    # detuning delta_q and probe coupling g_q: u11 = 0 for transverse probing
+    # and a0 = 0 in transmission, so each scenario keeps only its own term
+    delta = model.u11 * d11 - model.delta_p
+    g = model.u10 * model.a0 * d10
+    n = np.arange(amplitudes.shape[1])
     sq = np.sqrt(n[1:])
     gen = np.zeros((len(delta), len(n), len(n)), dtype=complex)
     gen[:, n, n] = (-1j * delta[:, None] - model.kappa) * n
@@ -174,55 +147,55 @@ def evolve_nonhermitian(state: JointState, model: ProbeModel,
                              - np.conj(model.eta) * sq)
     gen[:, n[1:], n[:-1]] = -1j * g[:, None] * sq + model.eta * sq
     prop = _expm(gen * duration)
-    out = replace(state, amplitudes=np.einsum("qij,qj->qi", prop,
-                                              state.amplitudes))
-    if out.photon_tail_fraction() > _TAIL_BOUND:
-        raise CutoffError(f"photon tail fraction {out.photon_tail_fraction():.3g} "
+    out = np.einsum("qij,qj->qi", prop, amplitudes)
+    w = np.abs(out) ** 2
+    total = w.sum()
+    tail = w[:, -1].sum() / total if total > 0 else 0.0
+    if tail > _TAIL_BOUND:
+        raise CutoffError(f"photon tail fraction {tail:.3g} "
                           f"exceeds {_TAIL_BOUND:g}; enlarge n_max")
     return out
 
 
-def apply_jump(state: JointState) -> JointState:
+def apply_jump(amplitudes: np.ndarray) -> np.ndarray:
     """Detection: apply the annihilation operator and renormalize."""
-    amp = state.amplitudes
-    n_max = state.n_max
-    sq = np.sqrt(np.arange(1, n_max + 1, dtype=float))
-    new = np.zeros_like(amp)
-    new[:, :-1] = sq[None, :] * amp[:, 1:]
+    sq = np.sqrt(np.arange(1, amplitudes.shape[1], dtype=float))
+    new = np.zeros_like(amplitudes)
+    new[:, :-1] = sq[None, :] * amplitudes[:, 1:]
     norm = np.linalg.norm(new)
     if norm <= 0:
         raise ValueError("jump on a vacuum-only state")
-    return replace(state, amplitudes=new / norm)
+    return new / norm
 
 
-def z_marginal(state: JointState, scenario: Scenario,
+def z_marginal(amplitudes: np.ndarray, scenario: Scenario,
                spec: LatticeSpec) -> ZDistribution:
     """Probability of each z, summed over photons and same-z configurations."""
-    geom = scenario_geometry(scenario, spec)
-    grid = np.asarray(geom.z_grid)
-    weights = np.abs(state.amplitudes) ** 2
-    per_config = weights.sum(axis=1)
+    d10 = _mode_sums(scenario, spec)[0]
+    if np.ndim(amplitudes) != 2 or len(amplitudes) != len(d10):
+        raise ValueError("joint state needs one row per configuration")
+    grid = np.asarray(scenario_geometry(scenario, spec).z_grid)
+    per_config = (np.abs(amplitudes) ** 2).sum(axis=1)
     total = per_config.sum()
     if total <= 0:
         raise ValueError("zero-norm state has no marginal")
-    z = np.rint(_mode_sums(state.configs, scenario, spec)[0].real)
-    p = np.bincount(np.searchsorted(grid, z), weights=per_config,
-                    minlength=len(grid))
+    p = np.bincount(np.searchsorted(grid, np.rint(d10.real)),
+                    weights=per_config, minlength=len(grid))
     return ZDistribution(grid, p / total)
 
 
-def run_script(state: JointState, model: ProbeModel, spec: LatticeSpec,
-               jump_times, t_end: float) -> JointState:
+def run_script(amplitudes: np.ndarray, model: ProbeModel, spec: LatticeSpec,
+               jump_times, t_end: float) -> np.ndarray:
     """Exact-propagator evolution between jumps at jump_times, up to t_end."""
     times = sorted(jump_times)
     if times and times[-1] > t_end:
         raise ValueError("jump times must not exceed t_end")
     now = 0.0
     for ti in times:
-        state = evolve_nonhermitian(state, model, spec, ti - now)
-        state = apply_jump(state)
+        amplitudes = evolve_nonhermitian(amplitudes, model, spec, ti - now)
+        amplitudes = apply_jump(amplitudes)
         now = ti
-    return evolve_nonhermitian(state, model, spec, t_end - now)
+    return evolve_nonhermitian(amplitudes, model, spec, t_end - now)
 
 
 def compare_with_exact(spec: LatticeSpec, model: ProbeModel, jump_times,

@@ -94,7 +94,9 @@ def log_factorials(n_max: int) -> np.ndarray:
     A read-only view of a module table that only grows.  Each entry is
     cephes' `lgam` at x = n + 1: log of n! itself up to n = 11, then
     Stirling's series, with log x from the C library's `log` (`math.log`,
-    as in scipy; numpy's SIMD `log` rounds some x differently).
+    as in scipy; numpy's SIMD `log` rounds some x differently).  Past
+    x = 1000 cephes cuts the series to 3 terms and past 1e8 drops it; the
+    5-term series alone rounds to the same bits there.
     """
     global _log_factorial_table
     have = len(_log_factorial_table)
@@ -103,13 +105,8 @@ def log_factorials(n_max: int) -> np.ndarray:
                  for n in range(have, min(n_max, 11) + 1)]
         x = np.arange(max(have, 12) + 1, n_max + 2, dtype=float)
         log_x = np.fromiter(map(math.log, x.tolist()), float, len(x))
-        q = (x - 0.5) * log_x - x + _LS2PI
-        p = 1.0 / (x * x)
-        series = np.where(x < 1000.0, _polevl(p, _LGAM_A),
-                          (7.9365079365079365079365e-4 * p
-                           - 2.7777777777777777777778e-3) * p
-                          + 0.0833333333333333333333) / x
-        q = np.where(x > 1e8, q, q + series)
+        q = ((x - 0.5) * log_x - x + _LS2PI
+             + _polevl(1.0 / (x * x), _LGAM_A) / x)
         _log_factorial_table = np.concatenate([_log_factorial_table, small, q])
         _log_factorial_table.flags.writeable = False
     return _log_factorial_table[:n_max + 1]

@@ -814,6 +814,15 @@ BAD_INPUTS = {
     "stop-fwhm-negative": (MAXIMUM.replace("stop_fwhm = 0.0",
                                            "stop_fwhm = -1"), []),
     "delta-z-max-nan": (MAXIMUM + "delta_z_max = nan\n", []),
+    "kappa-zero": (GOOD.replace("kappa = 1.0", "kappa = 0"), []),
+    "drive-scale-zero": (GOOD.replace("drive_scale = 1.0",
+                                      "drive_scale = 0"), []),
+    "kappa-over-u11-zero": (GOOD.replace("kappa_over_u11 = 1.0",
+                                         "kappa_over_u11 = 0"), []),
+    "initial-state-unknown": (MAXIMUM + "initial_state = bec\n", []),
+    "state-file-missing-key": (MAXIMUM + "initial_state = file\n", []),
+    "state-file-wrong-grid": (MAXIMUM + "initial_state = file\n"
+                              "initial_state_file = {tmp}/p0_grid.txt\n", []),
 }
 
 
@@ -821,6 +830,7 @@ BAD_INPUTS = {
 def test_bad_input_is_a_config_error(tmp_path, capsys, text, flags):
     """Every bad config value or flag exits 2 with a one-line message."""
     (tmp_path / "p0.txt").write_text("0 0.5\n1 abc\n")
+    (tmp_path / "p0_grid.txt").write_text("0 0.5\n1 0.5\n")
     cfg_path = write(tmp_path, text.replace("{tmp}", str(tmp_path)))
     out = tmp_path / "out"
     rc = main(["ensemble", "--config", str(cfg_path), "--out", str(out),

@@ -8,7 +8,7 @@ from scipy.stats import binom
 from latticemc import oracle
 from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.optics import ProbeModel, transient_amplitude
-from latticemc.oracle import (CutoffError, JointState, _expm, apply_jump,
+from latticemc.oracle import (CutoffError, _expm, apply_jump,
                               compare_with_exact, compositions,
                               evolve_nonhermitian, run_script,
                               superfluid_joint_state, z_marginal)
@@ -34,7 +34,8 @@ def test_compositions_count_and_order():
 def test_superfluid_joint_state_marginal():
     spec = LatticeSpec(4, 2, 1)
     joint = superfluid_joint_state(spec, n_max=3)
-    assert joint.norm == pytest.approx(1.0, abs=1e-12)
+    assert joint.shape == (len(compositions(4, 2)), 4)
+    assert np.linalg.norm(joint) == pytest.approx(1.0, abs=1e-12)
     marg = z_marginal(joint, Scenario.MAXIMUM, spec)
     want = superfluid_atom_number(spec)
     np.testing.assert_allclose(marg.probabilities, want.probabilities,
@@ -54,8 +55,18 @@ def test_mott_joint_state():
 
 
 def test_joint_state_shape_guard():
-    with pytest.raises(ValueError):
-        JointState(((1, 0),), 3, np.zeros((2, 4)))
+    """A joint state must hold one row per configuration of its lattice."""
+    spec = LatticeSpec(1, 2, 1)  # configurations (0, 1) and (1, 0)
+    model = ProbeModel(Scenario.MAXIMUM, kappa=1.0, u10=0.2, a0=1.0)
+    for rows in (1, 3):
+        bad = np.zeros((rows, 4), dtype=complex)
+        bad[0, 0] = 1.0
+        with pytest.raises(ValueError, match="one row per configuration"):
+            evolve_nonhermitian(bad, model, spec, 1.0)
+        with pytest.raises(ValueError, match="one row per configuration"):
+            z_marginal(bad, Scenario.MAXIMUM, spec)
+    with pytest.raises(ValueError, match="one row per configuration"):
+        z_marginal(np.ones(2, dtype=complex), Scenario.MAXIMUM, spec)
 
 
 def test_evolution_matches_coherent_solution():
@@ -75,7 +86,7 @@ def test_evolution_matches_coherent_solution():
         # single configuration q = (1,): z = 1
         alpha_t = transient_amplitude(model, 1.0, t)
         want = coherent_amplitudes(alpha_t, 12)
-        got = out.amplitudes[0]
+        got = out[0]
         # compare ray direction: the non-Hermitian norm decay drops out
         got = got / np.linalg.norm(got)
         want = want / np.linalg.norm(want)
@@ -88,7 +99,7 @@ def test_evolution_norm_decays():
     model = ProbeModel(Scenario.MAXIMUM, kappa=1.0, u10=0.2, a0=1.0)
     joint = superfluid_joint_state(spec, n_max=8)
     out = evolve_nonhermitian(joint, model, spec, 3.0)
-    assert out.norm < 1.0
+    assert np.linalg.norm(out) < 1.0
     assert evolve_nonhermitian(joint, model, spec, 0.0) is joint
     with pytest.raises(ValueError):
         evolve_nonhermitian(joint, model, spec, -1.0)
@@ -104,12 +115,10 @@ def test_cutoff_error_on_tiny_ladder():
 
 
 def test_apply_jump_on_coherent_state_is_identity():
-    spec = LatticeSpec(1, 1, 1)
     alpha = 0.6 - 0.2j
     cols = coherent_amplitudes(alpha, 30)
-    joint = JointState(((1,),), 30, cols[None, :])
-    out = apply_jump(joint)
-    got = out.amplitudes[0]
+    out = apply_jump(cols[None, :])
+    got = out[0]
     phase = cols[0] / got[0]
     np.testing.assert_allclose(got * phase, cols, atol=1e-9)
 
@@ -117,8 +126,8 @@ def test_apply_jump_on_coherent_state_is_identity():
 def test_apply_jump_fock_one_gives_vacuum():
     amp = np.zeros((1, 3), dtype=complex)
     amp[0, 1] = 1.0
-    out = apply_jump(JointState(((1,),), 2, amp))
-    np.testing.assert_allclose(out.amplitudes[0], [1.0, 0.0, 0.0], atol=1e-12)
+    out = apply_jump(amp)
+    np.testing.assert_allclose(out[0], [1.0, 0.0, 0.0], atol=1e-12)
     with pytest.raises(ValueError):
         apply_jump(out)  # vacuum only
 

@@ -72,8 +72,10 @@ def test_log_factorials_are_scipy_gammaln_bit_for_bit(monkeypatch):
 
 
 def test_log_factorials_grown_in_steps_equal_one_build(monkeypatch):
-    """Steps that cross cephes' branch edges (n = 11 | 12, x = 1000) give
-    the table one call builds, and each call's view is its prefix."""
+    """Steps that cross the edge from log n! to Stirling's series
+    (n = 11 | 12) and cephes' own series edge (x = 1000, which the table
+    does not copy) give the table one call builds, and each call's view is
+    its prefix."""
     monkeypatch.setattr(states, "_log_factorial_table", np.zeros(0))
     views = {n: log_factorials(n) for n in (5, 11, 12, 998, 999, 1000,
                                             200_000)}

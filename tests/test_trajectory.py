@@ -44,7 +44,7 @@ def two_point_state(intensities, probs, kappa=1.0):
     """Minimal synthetic state with prescribed per-z intensities."""
     from latticemc.optics import AmplitudeTable
     z = np.arange(len(intensities))
-    table = AmplitudeTable(z, np.sqrt(np.asarray(intensities, dtype=float)),
+    table = AmplitudeTable(np.sqrt(np.asarray(intensities, dtype=float)),
                            c_constant=1.0 + 0j)
     dist = ZDistribution(z, np.asarray(probs, dtype=float))
     return TrajectoryState(dist=dist, amplitudes=table, kappa=kappa)
@@ -437,7 +437,7 @@ def _product_rows(n, rng):
                 eps = min(np.sqrt(width / max(m, 1)), 1.0)
                 lam = np.exp(base + eps * (np.arange(n) - 6.0))
                 lam[rng.integers(n)] = 0.0  # a dark z
-                table = AmplitudeTable(np.arange(n), np.sqrt(lam), 1.0 + 0j)
+                table = AmplitudeTable(np.sqrt(lam), 1.0 + 0j)
                 p = rng.uniform(0.1, 1.0, n) * (rng.random(n) < 0.7)
                 p[rng.choice(np.flatnonzero(lam))] += 1.0  # not all dark or 0
                 p /= p.sum()
@@ -1013,6 +1013,22 @@ def test_classify_rejects_a_state_with_no_peak_at_the_threshold():
         with pytest.raises(ClassificationError,
                            match="no peak above the weight threshold"):
             classify_outcome(st, model)
+
+
+def test_classify_minimum_rejects_three_peaks():
+    model = ProbeModel(Scenario.MINIMUM, kappa=1.0, u10=1.0, a0=1.0)
+    st = peaked_state(101, {20: 0.2, 50: 0.2, 80: 0.2})
+    with pytest.raises(ClassificationError,
+                       match="3 peaks in minimum scenario"):
+        classify_outcome(st, model)
+
+
+def test_run_ensemble_rejects_a_zero_drive():
+    """With u10 = 0 the amplitude scale C vanishes, and tau with it."""
+    model = ProbeModel(Scenario.MAXIMUM, kappa=1.0, u10=0.0, a0=1.0)
+    with pytest.raises(ValueError, match="zero drive"):
+        trajectory.run_ensemble(superfluid_atom_number(SPEC), model, [0],
+                                max_tau=1.0)
 
 
 def test_classify_reads_only_dist_m_t_and_tau():
