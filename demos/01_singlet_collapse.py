@@ -24,8 +24,9 @@ print(f"{'tau':>8} {'m':>8} {'<z>':>8} {'width':>8}")
 
 record = run_trajectory(p0, model, seed=[2024, 0], max_tau=30.0,
                         stop_fwhm=0.5, sample_interval_tau=0.25)
-for s in record.samples[:: len(record.samples) // 12]:
-    print(f"{s.tau:8.2f} {s.m:8d} {s.mean_z:8.3f} {s.width:8.4f}")
+s = record.samples  # one array per observable, one entry per stride
+for k in range(0, len(record.m), len(record.m) // 12):
+    print(f"{s.tau[k]:8.2f} {s.m[k]:8d} {s.mean_z[k]:8.3f} {s.width[k]:8.4f}")
 
 final = record.final_state
 out = record.outcome

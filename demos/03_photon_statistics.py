@@ -48,8 +48,9 @@ record = run_trajectory(p0, model, seed=[31, 999], max_tau=30.0,
                         stop_fwhm=0.0, sample_interval_tau=1.0)
 print("Mandel Q of the conditional light along one trajectory "
       "(reduced units):")
-for s in record.samples[::6]:
-    print(f"  tau = {s.tau:6.2f}:  Q = {s.mandel_q_reduced:.3e}")
+s = record.samples
+for tau, q in zip(s.tau[::6], s.mandel_q_reduced[::6]):
+    print(f"  tau = {tau:6.2f}:  Q = {q:.3e}")
 print()
 print("the ensemble stays super-Poissonian, but each single record ends")
 print("with coherent (Q = 0) light: the measurement has used up all the")

@@ -29,9 +29,9 @@ from .geometry import LatticeSpec, Scenario, scenario_geometry
 from .optics import ProbeModel, amplitude_table
 from .oracle import compare_with_exact
 from .states import (ZDistribution, load_distribution, mott_distribution,
-                     superfluid_atom_number, superfluid_difference)
+                     superfluid_distribution)
 from .trajectory import (ClassificationError, NumericalAbort, RunRecord,
-                         Sample, _recording_grid, classify_outcome,
+                         Samples, _recording_grid, classify_outcome,
                          run_ensemble, run_trajectory)
 
 EXIT_OK = 0
@@ -193,9 +193,7 @@ def initial_distribution(cfg: RunConfig) -> ZDistribution:
         return dist
     if cfg.initial_state == "mott":
         return mott_distribution(spec, cfg.scenario)
-    if cfg.scenario is Scenario.MINIMUM:
-        return superfluid_difference(spec)
-    return superfluid_atom_number(spec)
+    return superfluid_distribution(spec, cfg.scenario)
 
 
 def load_preset(name: str) -> str:
@@ -362,16 +360,17 @@ def _write_columns(path: Path, header: list[str], columns):
             fh.write(row * len(chunk[0]) % tuple(cells))
 
 
+def _write_json(path: Path, payload: dict):
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def write_record(record: RunRecord, out_dir: Path, config: dict):
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_columns(out_dir / "trajectory.csv", list(Sample._fields),
-                   list(zip(*record.samples)))
-    payload = {**asdict(record.outcome), "m": record.final_state.m,
-               "tau": record.final_state.tau, "seed": record.seed,
-               "config": config}
-    with open(out_dir / "trajectory_outcome.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_columns(out_dir / "trajectory.csv", list(Samples._fields),
+                   record.samples)
+    _write_json(out_dir / "trajectory_outcome.json", {
+        **asdict(record.outcome), "m": record.final_state.m,
+        "tau": record.final_state.tau, "seed": record.seed, "config": config})
     for tau, dist in sorted(record.snapshots.items()):
         _write_columns(out_dir / f"trajectory_snapshot_tau{tau:g}.csv",
                        ["z", "probability"],
@@ -409,10 +408,9 @@ def cmd_ensemble(cfg: RunConfig, out_dir: Path) -> int:
         counts[row[0]] += 1
         outcomes.append((*row, state.m, state.tau))
 
-    with open(out_dir / "ensemble_summary.json", "w") as fh:
-        json.dump({"n_traj": n_traj, "outcomes": counts, "seed": seed,
-                   "config": cfg.as_dict()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "ensemble_summary.json",
+                {"n_traj": n_traj, "outcomes": counts, "seed": seed,
+                 "config": cfg.as_dict()})
     _write_columns(out_dir / "ensemble_outcomes.csv",
                    ["trajectory", "kind", "z1", "z2", "m", "tau"],
                    [np.arange(n_traj), *zip(*outcomes)])

@@ -19,8 +19,7 @@ import numpy as np
 from .geometry import (LatticeSpec, Scenario, coupling_coefficient,
                        scenario_geometry)
 from .optics import ProbeModel
-from .states import (ZDistribution, superfluid_atom_number,
-                     superfluid_difference)
+from .states import ZDistribution, superfluid_distribution
 from .trajectory import exact_distribution
 
 _TAIL_BOUND = 1e-10
@@ -204,7 +203,6 @@ def compare_with_exact(spec: LatticeSpec, model: ProbeModel, jump_times,
     """Oracle and `exact_distribution` z marginals from the superfluid."""
     joint = run_script(superfluid_joint_state(spec, n_max=n_max), model, spec,
                        jump_times, t_end)
-    p0 = (superfluid_difference(spec) if model.scenario is Scenario.MINIMUM
-          else superfluid_atom_number(spec))
+    p0 = superfluid_distribution(spec, model.scenario)
     return (z_marginal(joint, model.scenario, spec),
             exact_distribution(p0, model, jump_times, t_end))

@@ -164,6 +164,13 @@ def superfluid_difference(spec: LatticeSpec) -> ZDistribution:
     return ZDistribution(2 * np.arange(n + 1) - n, _normalized(_binomial(n, 0.5)))
 
 
+def superfluid_distribution(spec: LatticeSpec,
+                            scenario: Scenario) -> ZDistribution:
+    """The superfluid's p0(z): the odd-even difference at the minimum."""
+    return (superfluid_difference(spec) if scenario is Scenario.MINIMUM
+            else superfluid_atom_number(spec))
+
+
 def mott_distribution(spec: LatticeSpec, scenario: Scenario) -> ZDistribution:
     """Point-mass distribution for the unit-filling Mott insulator.
 

@@ -90,14 +90,16 @@ class Ensemble(NamedTuple):
     snapshot_strides: tuple
 
 
-class Sample(NamedTuple):
-    t: float
-    tau: float
-    m: int
-    mean_z: float
-    width: float
-    cond_photons_reduced: float
-    mandel_q_reduced: float
+class Samples(NamedTuple):
+    """A run's posterior observables, one array entry per stride 0..stop."""
+
+    t: np.ndarray
+    tau: np.ndarray
+    m: np.ndarray
+    mean_z: np.ndarray
+    width: np.ndarray
+    cond_photons_reduced: np.ndarray
+    mandel_q_reduced: np.ndarray
 
 
 @dataclass
@@ -115,7 +117,7 @@ class RunRecord:
     seed: object
 
     @cached_property
-    def samples(self) -> list[Sample]:
+    def samples(self) -> Samples:
         """Per-stride observables of the posterior, strides 0..stop."""
         table = amplitude_table(self.model, self.p0.z_values)
         c2, n = abs(table.c_constant) ** 2, len(self.m)
@@ -134,9 +136,8 @@ class RunRecord:
         mean_z, mean_lam, mean_lam2, var_z = np.concatenate(blocks, axis=1)
         q = np.divide(mean_lam2 - mean_lam**2, mean_lam * c2,
                       out=np.zeros(n), where=mean_lam > 0)
-        columns = (t, self.tau[:n], self.m, mean_z, np.sqrt(var_z),
-                   mean_lam / c2, q)
-        return list(map(Sample, *(c.tolist() for c in columns)))
+        return Samples(t, self.tau[:n], self.m, mean_z, np.sqrt(var_z),
+                       mean_lam / c2, q)
 
     @cached_property
     def snapshots(self) -> dict:
@@ -220,15 +221,12 @@ def classify_outcome(state: FinalState, model: ProbeModel) -> OutcomeReport:
         # each detection flips the relative sign of the two components
         return OutcomeReport("doublet", z1=z1, z2=z2, delta_z=float(z1),
                              phase_phi=np.pi / 2.0,
-                             phase_big_phi=0.0,
                              component_weights=(w1 / total, w2 / total),
                              delta_z_predicted=dz_pred)
 
     if model.scenario is Scenario.MAXIMUM:
         if len(peaks) == 1:
-            z1 = int(z[peaks[0]])
-            return OutcomeReport("singlet", z1=z1,
-                                 component_weights=(1.0, 0.0))
+            return OutcomeReport("singlet", z1=int(z[peaks[0]]))
         if len(peaks) == 2 and np.isclose(p[peaks[0]], p[peaks[1]]):
             za, zb = int(z[peaks[1]]), int(z[peaks[0]])
             return OutcomeReport("doublet", z1=za, z2=zb,
@@ -240,8 +238,7 @@ def classify_outcome(state: FinalState, model: ProbeModel) -> OutcomeReport:
     ratio = state.m / state.tau if state.tau > 0 else np.inf
     z_p = model.z_p
     if len(peaks) == 1 and ratio >= 1.0:
-        return OutcomeReport("singlet", z1=int(z[peaks[0]]),
-                             component_weights=(1.0, 0.0))
+        return OutcomeReport("singlet", z1=int(z[peaks[0]]))
     if len(peaks) > 2:
         raise ClassificationError(f"{len(peaks)} peaks in transmission scenario")
     if len(peaks) == 2:

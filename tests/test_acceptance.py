@@ -114,10 +114,11 @@ def test_criterion_2_closed_form(capsys):
             st = TrajectoryState(dist=p0,
                                  amplitudes=amplitude_table(model, p0.z_values),
                                  kappa=model.kappa)
-            for before, after in zip(rec.samples, rec.samples[1:]):
-                for _ in range(after.m - before.m):
+            for dm, dt in zip(np.diff(rec.samples.m).tolist(),
+                              np.diff(rec.samples.t).tolist()):
+                for _ in range(dm):
                     st = jump(st)
-                st = no_count_step(st, after.t - before.t)
+                st = no_count_step(st, dt)
             assert st.m == final.m and abs(st.t - final.t) <= 1e-9 * final.t
             worst = max(worst, np.abs(final.dist.probabilities
                                       - st.dist.probabilities).max())
@@ -309,7 +310,7 @@ def test_criterion_8_photon_statistics(capsys):
     mean_ok = mean_dev <= 3 * np.sqrt(theory.variance / len(ms))
 
     # per-trajectory Mandel Q at finalization (reduced units)
-    worst_q = max(abs(rec.samples[-1].mandel_q_reduced)
+    worst_q = max(abs(rec.samples.mandel_q_reduced[-1])
                   for rec in maximum_ensemble())
 
     # the ensemble law is never sub-Poissonian

@@ -823,6 +823,15 @@ BAD_INPUTS = {
     "state-file-missing-key": (MAXIMUM + "initial_state = file\n", []),
     "state-file-wrong-grid": (MAXIMUM + "initial_state = file\n"
                               "initial_state_file = {tmp}/p0_grid.txt\n", []),
+    "state-file-all-zero": (MAXIMUM + "initial_state = file\n"
+                            "initial_state_file = {tmp}/p0_zero.txt\n", []),
+    "state-file-z-not-integer": (MAXIMUM + "initial_state = file\n"
+                                 "initial_state_file = {tmp}/p0_half.txt\n",
+                                 []),
+    "n-atoms-zero": (MAXIMUM.replace("n_atoms = 50", "n_atoms = 0"), []),
+    "n-sites-zero": (MAXIMUM.replace("n_sites = 50", "n_sites = 0"), []),
+    "n-illuminated-zero": (MAXIMUM.replace("n_illuminated = 25",
+                                           "n_illuminated = 0"), []),
 }
 
 
@@ -831,6 +840,8 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, text, flags):
     """Every bad config value or flag exits 2 with a one-line message."""
     (tmp_path / "p0.txt").write_text("0 0.5\n1 abc\n")
     (tmp_path / "p0_grid.txt").write_text("0 0.5\n1 0.5\n")
+    (tmp_path / "p0_zero.txt").write_text("0 0\n1 0\n")
+    (tmp_path / "p0_half.txt").write_text("0 0.5\n0.5 0.5\n")
     cfg_path = write(tmp_path, text.replace("{tmp}", str(tmp_path)))
     out = tmp_path / "out"
     rc = main(["ensemble", "--config", str(cfg_path), "--out", str(out),

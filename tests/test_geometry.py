@@ -124,6 +124,12 @@ def test_scenario_geometry_minimum_requires_full_illumination():
         scenario_geometry(Scenario.MINIMUM, LatticeSpec(4, 4, 2))
 
 
+def test_scenario_geometry_rejects_a_scenario_name():
+    # the enum, not its value: "maximum" is no Scenario member
+    with pytest.raises(ValueError, match="unknown scenario 'maximum'"):
+        scenario_geometry("maximum", LatticeSpec(4, 4, 2))
+
+
 def test_configuration_z():
     spec, spec2 = LatticeSpec(6, 4, 4), LatticeSpec(6, 4, 2)
     for scenario, lattice, want in ((Scenario.MAXIMUM, spec, 6),

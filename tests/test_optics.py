@@ -32,6 +32,8 @@ def test_probe_model_validation():
         ProbeModel(Scenario.MAXIMUM, kappa=1.0, u10=1.0, u11=0.2)
     with pytest.raises(ValueError):
         ProbeModel(Scenario.MAXIMUM, kappa=0.0, u10=1.0)
+    with pytest.raises(ValueError, match="transmission scenario"):
+        ProbeModel(Scenario.MAXIMUM, kappa=1.0, u10=1.0).z_p
 
 
 def test_steady_amplitude_linear_in_z():

@@ -67,6 +67,8 @@ def test_joint_state_shape_guard():
             z_marginal(bad, Scenario.MAXIMUM, spec)
     with pytest.raises(ValueError, match="one row per configuration"):
         z_marginal(np.ones(2, dtype=complex), Scenario.MAXIMUM, spec)
+    with pytest.raises(ValueError, match="zero-norm state"):
+        z_marginal(np.zeros((2, 4), dtype=complex), Scenario.MAXIMUM, spec)
 
 
 def test_evolution_matches_coherent_solution():

@@ -223,6 +223,8 @@ def test_photocount_distribution_mean_growth():
         assert d.fano >= 1.0 - 1e-9
     with pytest.raises(ValueError):
         photocount_distribution(p0, table, 1.0, -0.1)
+    with pytest.raises(ValueError, match="zero mean"):
+        photocount_distribution(p0, table, 1.0, 0.0).fano
 
 
 def test_photocount_distribution_zero_time():

@@ -16,7 +16,7 @@ from latticemc.geometry import LatticeSpec, Scenario
 from latticemc.states import (ZDistribution, _binomial, _log1p,
                               load_distribution, log_factorials,
                               mott_distribution, superfluid_atom_number,
-                              superfluid_difference)
+                              superfluid_difference, superfluid_distribution)
 from reference import gaussian_approximation
 
 
@@ -163,6 +163,18 @@ def test_superfluid_difference_is_pushforward_of_binomial():
     np.testing.assert_allclose(d.probabilities, direct, atol=1e-12)
 
 
+def test_superfluid_distribution_per_scenario():
+    """The difference at the minimum, the atom number elsewhere."""
+    spec = LatticeSpec(6, 6, 6)
+    for scenario, want in ((Scenario.MINIMUM, superfluid_difference(spec)),
+                           (Scenario.MAXIMUM, superfluid_atom_number(spec)),
+                           (Scenario.TRANSMISSION,
+                            superfluid_atom_number(spec))):
+        got = superfluid_distribution(spec, scenario)
+        assert got.z_values.tolist() == want.z_values.tolist()
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+
+
 def test_superfluid_difference_validation():
     with pytest.raises(ValueError):
         superfluid_difference(LatticeSpec(4, 4, 2))
@@ -213,6 +225,8 @@ def test_zdistribution_invariants():
         ZDistribution(np.array([1, 0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         ZDistribution(np.array([0, 1]), np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="equal-length 1D"):
+        ZDistribution([0, 1], [1.0])
 
 
 def test_variance_identity_random():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -309,8 +310,9 @@ def test_stop_rows_match_reference_on_closed_form_posteriors():
         for seed in range(3):
             rec = run_trajectory(p0, model, seed=[5, seed], max_tau=max_tau,
                                  stop_fwhm=0.0, sample_interval_tau=interval)
-            dists = [closed_form_distribution(p0, table, model.kappa, s.m, s.t)
-                     for s in rec.samples]
+            dists = [closed_form_distribution(p0, table, model.kappa, m, t)
+                     for m, t in zip(rec.samples.m.tolist(),
+                                     rec.samples.t.tolist(), strict=True)]
             seen |= _assert_stop_rows_match(dists, (0.05, 0.5, 2.0),
                                             (1e-3,))
     assert seen == {False, True}
@@ -574,7 +576,8 @@ def _run_summary(p0, model, cfg, seed):
                              snapshot_taus=cfg.snapshots)
     except ClassificationError as exc:
         return repr(exc)
-    return (rec.samples, rec.outcome, rec.snapshot_strides,
+    return ([c.tobytes() for c in rec.samples], rec.samples.tau[-1],
+            rec.outcome, rec.snapshot_strides,
             {tau: d.probabilities.tolist() for tau, d in rec.snapshots.items()},
             rec.final_state.m, rec.final_state.t,
             rec.final_state.dist.probabilities.tolist())
@@ -603,7 +606,7 @@ def test_may_stop_leaves_records_unchanged(monkeypatch):
     assert summaries() == filtered
     # the stop check fired in every config, and the taxonomy failed somewhere
     for (cfg, _, _), runs in zip(cases, filtered):
-        assert any(not isinstance(r, str) and r[0][-1].tau < cfg.max_tau
+        assert any(not isinstance(r, str) and r[1] < cfg.max_tau
                    for r in runs)
     assert any(isinstance(r, str) for runs in filtered for r in runs)
 
@@ -734,7 +737,8 @@ def _ensemble_bytes(p0, model, seeds, kwargs):
             m=counts[:k + 1], t=run.t, tau=run.tau, p0=p0, model=model,
             final_state=st, outcome=None, snapshot_strides={
                 s: j for s, j in run.snapshot_strides if j <= k}, seed=None)
-        members.append((repr(rec.samples), st.dist.probabilities.tobytes(),
+        members.append(([c.tobytes() for c in rec.samples],
+                        st.dist.probabilities.tobytes(),
                         {s: d.probabilities.tobytes()
                          for s, d in rec.snapshots.items()}))
     return run.stops.tolist(), run.m.tobytes(), members
@@ -956,10 +960,10 @@ def test_width_matches_a_two_pass_fsum_reference(preset):
         p0.probabilities, amplitude_table(model, p0.z_values), model.kappa,
         rec.m, rec.t[:len(rec.m)])
     z = p0.z_values.astype(float)
-    for row, sample in zip(post, rec.samples, strict=True):
+    for row, width in zip(post, rec.samples.width.tolist(), strict=True):
         mean = math.fsum(row * z)
         want = math.sqrt(math.fsum(row * (z - mean) ** 2))
-        assert sample.width == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert width == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_classify_maximum_singlet():
@@ -1085,11 +1089,11 @@ def test_run_trajectory_deterministic():
     model = max_model()
     a = run_trajectory(p0, model, seed=[7, 0], max_tau=4.0, stop_fwhm=0.0)
     b = run_trajectory(p0, model, seed=[7, 0], max_tau=4.0, stop_fwhm=0.0)
-    assert [s.m for s in a.samples] == [s.m for s in b.samples]
+    assert a.samples.m.tolist() == b.samples.m.tolist()
     np.testing.assert_array_equal(a.final_state.dist.probabilities,
                                   b.final_state.dist.probabilities)
     c = run_trajectory(p0, model, seed=[7, 1], max_tau=4.0, stop_fwhm=0.0)
-    assert [s.m for s in c.samples] != [s.m for s in a.samples]
+    assert c.samples.m.tolist() != a.samples.m.tolist()
 
 
 def test_run_trajectory_matches_closed_form():
@@ -1153,7 +1157,7 @@ def test_run_trajectory_one_stride_per_snapshot_on_fig2_grid():
     rec = run_trajectory(p0, trans_model(z_p=50.0), seed=[11, 0], max_tau=40.0,
                          stop_fwhm=0.0, sample_interval_tau=0.1,
                          snapshot_taus=snaps)
-    taus = np.array([s.tau for s in rec.samples])
+    taus = rec.samples.tau
     assert len(taus) == 401
     assert np.count_nonzero(np.isclose(taus, 0.7)) == 1
     assert np.count_nonzero(np.isclose(taus, 14.6)) == 1
@@ -1161,11 +1165,11 @@ def test_run_trajectory_one_stride_per_snapshot_on_fig2_grid():
     table = amplitude_table(rec.model, p0.z_values)
     for tau, k in rec.snapshot_strides.items():
         assert k == np.flatnonzero(np.isclose(tau, taus))[0]
-        assert rec.samples[k].tau == pytest.approx(tau, rel=1e-15)
+        assert rec.samples.tau[k] == pytest.approx(tau, rel=1e-15)
         np.testing.assert_array_equal(
             rec.snapshots[tau].probabilities,
-            closed_form_distribution(p0, table, 1.0, rec.samples[k].m,
-                                     rec.samples[k].t).probabilities)
+            closed_form_distribution(p0, table, 1.0, int(rec.samples.m[k]),
+                                     rec.samples.t[k]).probabilities)
     assert rec.snapshot_strides[0.0] == 0
 
 
@@ -1176,7 +1180,7 @@ def test_run_trajectory_snapshot_strides_stop_with_the_run():
     assert rec.final_state.tau < 29.0
     assert set(rec.snapshot_strides) == set(rec.snapshots) == {0.5}
     k = rec.snapshot_strides[0.5]
-    assert rec.samples[k].tau == pytest.approx(0.5)
+    assert rec.samples.tau[k] == pytest.approx(0.5)
 
 
 def _eager_record(p0, model, rec, cfg):
@@ -1205,12 +1209,19 @@ def _eager_record(p0, model, rec, cfg):
     q = np.divide(mean_lam2 - mean_lam**2, mean_lam * c2,
                   out=np.zeros(last + 1), where=mean_lam > 0)
     columns = (t, taus, m, mean_z, np.sqrt(var_z), mean_lam / c2, q)
-    samples = list(map(trajectory.Sample,
-                       *(c[:last + 1].tolist() for c in columns)))
+    samples = trajectory.Samples(*(c[:last + 1] for c in columns))
     snapshots = {s: closed_form_distribution(p0, table, model.kappa,
                                              int(m[k]), t[k])
                  for s, k in snap_strides if k <= last}
     return samples, snapshots
+
+
+def _assert_columns_equal(samples, want):
+    """Each of the seven columns is the same dtype and bytes as want's."""
+    assert len(samples) == len(want) == 7
+    for column, expected in zip(samples, want):
+        assert column.dtype == expected.dtype
+        assert column.tobytes() == expected.tobytes()
 
 
 def test_lazy_samples_and_snapshots_equal_eager_reference():
@@ -1239,15 +1250,16 @@ def test_lazy_samples_and_snapshots_equal_eager_reference():
                 continue
             first = rec.snapshots if i == 1 else rec.samples
             samples, snapshots = _eager_record(p0, model, rec, cfg)
-            assert repr(rec.samples) == repr(samples)
+            _assert_columns_equal(rec.samples, samples)
             assert list(rec.snapshots) == list(snapshots)
             for tau, dist in snapshots.items():
                 assert rec.snapshots[tau].probabilities.tobytes() == \
                     dist.probabilities.tobytes()
-            assert rec.samples[-1].m == rec.final_state.m == rec.m[-1]
+            assert rec.samples.m[-1] == rec.final_state.m == rec.m[-1]
             assert first is (rec.snapshots if i == 1 else rec.samples)
             full = run_trajectory(p0, model, stop_fwhm=0.0, **kwargs)
-            assert repr(rec.samples) == repr(full.samples[:len(rec.m)])
+            _assert_columns_equal(rec.samples, [c[:len(rec.m)]
+                                                for c in full.samples])
             n_records += 1
             stops.append((len(rec.m) - 1, len(rec.t) - 1))
     assert n_records >= 21
@@ -1259,7 +1271,27 @@ def test_lazy_samples_and_snapshots_equal_eager_reference():
     # reads as its prefix
     for k in (1, 127, 128, 129, 256, 300):
         cut = dataclasses.replace(full, m=full.m[:k + 1])
-        assert repr(cut.samples) == repr(full.samples[:k + 1])
+        _assert_columns_equal(cut.samples, [c[:k + 1] for c in full.samples])
+
+
+def test_samples_are_columns_of_bounded_memory():
+    """Reading a 100 001-stride fig2 record's samples builds arrays, not a
+    Python object per stride: the traced peak stays under 2.5 times the
+    seven columns' 56 bytes per stride."""
+    cfg = parse_config(load_preset("fig2"))
+    rec = run_trajectory(initial_distribution(cfg), probe_model(cfg),
+                         seed=[cfg.seed], max_tau=cfg.max_tau, stop_fwhm=0.0,
+                         sample_interval_tau=0.0004)
+    strides = len(rec.m)
+    assert strides == 100_001
+    tracemalloc.start()
+    try:
+        samples = rec.samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(c) for c in samples] == [strides] * 7
+    assert peak < 2.5 * 56 * strides
 
 
 def test_updates_build_distributions_without_validation(monkeypatch):
@@ -1317,9 +1349,10 @@ def test_run_trajectory_stops_at_first_narrow_stride():
                          sample_interval_tau=0.01)
     table = amplitude_table(model, p0.z_values)
     narrow = [_all_peaks_narrow_reference(
-        closed_form_distribution(p0, table, model.kappa, s.m, s.t), 0.5,
-        1e-3) for s in rec.samples]
-    assert len(rec.samples) > 200
+        closed_form_distribution(p0, table, model.kappa, m, t), 0.5,
+        1e-3) for m, t in zip(rec.samples.m.tolist(), rec.samples.t.tolist(),
+                              strict=True)]
+    assert len(rec.m) > 200
     assert narrow[-1] and not any(narrow[1:-1])
 
 
@@ -1367,11 +1400,10 @@ def test_latent_z_sampler_matches_per_stride_sampler():
     for i in range(2000):
         rec = run_trajectory(p0, model, seed=[61, i], max_tau=1.5,
                              stop_fwhm=0.0, sample_interval_tau=0.05)
-        new.append((rec.samples[10].m, rec.samples[-1].m, rec.outcome.z1))
+        new.append((rec.samples.m[10], rec.samples.m[-1], rec.outcome.z1))
         m, outcome = _per_stride_reference(p0, model, [62, i], taus)
         old.append((m[10], m[-1], outcome.z1))
-    np.testing.assert_allclose([s.tau for s in rec.samples], taus,
-                               rtol=1e-15)
+    np.testing.assert_allclose(rec.samples.tau, taus, rtol=1e-15)
     new, old = np.array(new), np.array(old)
     both = np.concatenate([new, old])
     # joint cells: pooled quintiles of m(0.5) and of the later increment
@@ -1421,5 +1453,5 @@ def test_run_trajectory_initial_state_never_stops_the_run():
     # its first stride, as the per-stride sampler did
     p0 = mott_distribution(LatticeSpec(100, 100, 50), Scenario.MAXIMUM)
     rec = run_trajectory(p0, max_model(), seed=3, max_tau=2.0, stop_fwhm=0.5)
-    assert len(rec.samples) == 2
-    assert rec.samples[1].m > 0
+    assert len(rec.m) == len(rec.samples.m) == 2
+    assert rec.samples.m[1] > 0
