@@ -31,8 +31,8 @@ from .oracle import compare_with_exact
 from .states import (ZDistribution, load_distribution, mott_distribution,
                      superfluid_distribution)
 from .trajectory import (ClassificationError, NumericalAbort, RunRecord,
-                         Samples, _recording_grid, classify_outcome,
-                         run_ensemble, run_trajectory)
+                         Samples, _recording_grid, _stride_times,
+                         classify_outcome, run_ensemble, run_trajectory)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,9 +128,14 @@ def parse_config(text: str, flags: dict[str, str] | None = None) -> RunConfig:
                     else f"key {key!r}: {exc}") from exc
     cfg = RunConfig(**values)
     _check_fields(cfg)
-    try:  # the lattice, the scenario's geometry, the initial state, the grid
+    try:  # the lattice, the scenario's geometry, the initial state, the
+        # grid, and the expected counts on it
         initial_distribution(cfg)
-        _recording_grid(cfg.max_tau, cfg.sample_interval_tau, cfg.snapshots)
+        taus = _recording_grid(cfg.max_tau, cfg.sample_interval_tau,
+                               cfg.snapshots)[0]
+        z_grid = scenario_geometry(cfg.scenario, lattice_spec(cfg)).z_grid
+        _stride_times(taus, amplitude_table(probe_model(cfg), z_grid),
+                      cfg.kappa)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

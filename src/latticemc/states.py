@@ -200,9 +200,10 @@ def load_distribution(path) -> ZDistribution:
     if np.any(z != np.round(z)):
         raise ValueError("z column must be integer-valued")
     p = data[:, 1]
+    order = np.argsort(z)
+    dist = ZDistribution(z[order].astype(int), _normalized(p[order]))
     total = p.sum()
-    if abs(total - 1.0) > 1e-6:
+    if abs(total - 1.0) > 1e-6:  # only once the file is known valid
         warnings.warn(f"loaded probabilities sum to {total:.8g}; renormalizing",
                       stacklevel=2)
-    order = np.argsort(z)
-    return ZDistribution(z[order].astype(int), _normalized(p[order]))
+    return dist

@@ -45,6 +45,9 @@ _PRODUCT_ROWS = 512
 _NO_WEIGHT = -1e300
 # a limit on input, not a knob: each member records one count per stride
 _MAX_STRIDES = 10**6
+# the largest expected count a record may reach: its int64 running sum then
+# stays below 2^63, and each stride's Poisson rate within numpy's range
+_MAX_EXPECTED_COUNT = 2.0**62
 LN2 = float(np.log(2.0))
 
 
@@ -507,6 +510,25 @@ def _recording_grid(max_tau: float, sample_interval_tau: float | None,
     return taus, tuple(zip(points[is_snap].tolist(), stride[is_snap].tolist()))
 
 
+def _stride_times(taus: np.ndarray, table: AmplitudeTable,
+                 kappa: float) -> np.ndarray:
+    """The strides' times t = tau / (2 kappa |C|^2).
+
+    Raises ValueError on zero drive, and when the largest expected count on
+    the table's grid, 2 kappa max_z |alpha_z|^2 t_end, exceeds 2^62, so that
+    no count record can wrap.
+    """
+    c2 = abs(table.c_constant) ** 2
+    if c2 <= 0:
+        raise ValueError("zero drive: the dimensionless time is undefined")
+    t = taus * (1.0 / (2.0 * c2 * kappa))
+    largest = 2.0 * kappa * table.intensity.max() * t[-1]
+    if not largest <= _MAX_EXPECTED_COUNT:
+        raise ValueError(f"expected counts reach {largest:.3g}, more than "
+                         "2^62; shorten max_tau")
+    return t
+
+
 def run_ensemble(p0: ZDistribution, model: ProbeModel, seeds, *,
                  max_tau: float, stop_fwhm: float = 0.5,
                  sample_interval_tau: float | None = None,
@@ -523,10 +545,7 @@ def run_ensemble(p0: ZDistribution, model: ProbeModel, seeds, *,
     taus, snap_strides = _recording_grid(max_tau, sample_interval_tau,
                                          snapshot_taus)
     table = amplitude_table(model, p0.z_values)
-    c2 = abs(table.c_constant) ** 2
-    if c2 <= 0:
-        raise ValueError("zero drive: the dimensionless time is undefined")
-    t = taus * (1.0 / (2.0 * c2 * model.kappa))
+    t = _stride_times(taus, table, model.kappa)
     m = sample_counts(p0, table, model.kappa, t, seeds)
     stops = stop_strides(p0, table, model.kappa, m, t, stop_fwhm)
     m_end, t_end = m[np.arange(len(m)), stops], t[stops]

@@ -7,9 +7,11 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import chisquare
 
-from latticemc.geometry import LatticeSpec, Scenario
-from latticemc.optics import AmplitudeTable
-from latticemc.oracle import compositions
+from latticemc.geometry import (LatticeSpec, Scenario, coupling_coefficient,
+                                scenario_geometry)
+from latticemc.optics import (AmplitudeTable, ProbeModel,
+                              prefactor_exponent_exact, transient_amplitude)
+from latticemc.oracle import compositions, superfluid_joint_state
 from latticemc.states import ZDistribution
 from latticemc.trajectory import LN2, _reweighted
 
@@ -185,6 +187,30 @@ def mott_joint_state(spec: LatticeSpec, n_max: int = 8) -> np.ndarray:
     amplitudes = np.zeros((len(cfgs), n_max + 1), dtype=complex)
     amplitudes[cfgs.index((1,) * spec.n_sites), 0] = 1.0
     return amplitudes
+
+
+def coherent_script_state(spec: LatticeSpec, model: ProbeModel, jump_times,
+                          t_end: float, n_max: int) -> np.ndarray:
+    """The oracle's joint state after a jump script from the superfluid, in
+    closed form and up to one global constant (the jumps' renormalization).
+
+    Under the no-count generator each configuration's light stays coherent,
+    so its row is c_q e^(Phi_q(t)) prod_i alpha_q(t_i) |alpha_q(t)>, at
+    t = t_end, with alpha_q `transient_amplitude` and Phi_q
+    `prefactor_exponent_exact` at the configuration's z = D_10 and c_q its
+    superfluid amplitude.  Truncated to photon numbers 0..n_max.
+    """
+    geom = scenario_geometry(model.scenario, spec)
+    q = np.array(compositions(spec.n_atoms, spec.n_sites))
+    z = coupling_coefficient(q, geom.cavity, geom.probe, spec).real
+    weight = (superfluid_joint_state(spec, n_max)[:, 0]
+              * np.exp(prefactor_exponent_exact(model, z, t_end)))
+    for t in jump_times:
+        weight = weight * transient_amplitude(model, z, t)
+    alpha = transient_amplitude(model, z, t_end)[:, None]
+    n = np.arange(n_max + 1)
+    return (weight[:, None] * np.exp(-0.5 * np.abs(alpha) ** 2) * alpha ** n
+            / np.sqrt(np.exp(gammaln(n + 1))))
 
 
 def pooled_chisquare_p(observed_counts, expected_counts, min_expected=5.0):

@@ -832,12 +832,22 @@ BAD_INPUTS = {
     "n-sites-zero": (MAXIMUM.replace("n_sites = 50", "n_sites = 0"), []),
     "n-illuminated-zero": (MAXIMUM.replace("n_illuminated = 25",
                                            "n_illuminated = 0"), []),
+    # expected counts up to 2.5e23 and 2.5e25: the int64 record would wrap,
+    # and numpy's Poisson sampler rejects the larger rates
+    "counts-past-int64": (MAXIMUM.replace("max_tau = 8.0", "max_tau = 1e20")
+                          .replace("sample_interval_tau = 0.5",
+                                   "sample_interval_tau = 1e16"), []),
+    "counts-past-poisson-range": (
+        MAXIMUM.replace("max_tau = 8.0", "max_tau = 1e22")
+        .replace("sample_interval_tau = 0.5", "sample_interval_tau = 1e18"),
+        []),
 }
 
 
 @pytest.mark.parametrize("text,flags", BAD_INPUTS.values(), ids=BAD_INPUTS)
-def test_bad_input_is_a_config_error(tmp_path, capsys, text, flags):
-    """Every bad config value or flag exits 2 with a one-line message."""
+def test_bad_input_is_a_config_error(tmp_path, capsys, recwarn, text, flags):
+    """Every bad config value or flag exits 2 with a one-line message, and
+    warns of nothing first (an all-zero state file is no renormalization)."""
     (tmp_path / "p0.txt").write_text("0 0.5\n1 abc\n")
     (tmp_path / "p0_grid.txt").write_text("0 0.5\n1 0.5\n")
     (tmp_path / "p0_zero.txt").write_text("0 0\n1 0\n")
@@ -849,6 +859,7 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, text, flags):
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8",

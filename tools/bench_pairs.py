@@ -14,27 +14,27 @@ that length for the per-layer table.  Per-layer counts compare only at
 equal pass counts, so pick the two lengths to give equal passes (the
 faster side needs the shorter run); --pairs 0 runs the traced pair alone.
 
-The output file holds the environment (with numpy's SIMD dispatch
-targets, as output bits depend on them), the seeds, every pair's end-to-end
-metrics, failures and output checks, per metric the medians and quartiles
-of each side and the number of pairs the change wins, and per side the
-operations attempted and failed over all pairs.  Each run also records its
-failures by operation label, and each pair prints them.  Each run also
-records, per operation label, the median bytes its successful operations
-wrote: a deterministic work counter that machine drift does not move.
-Each pair prints it, and the summary gives its median over the pairs per
-side.  Each run also records its CPU time, `cpu_s`: the user + system time
-of the benchmark process and of every child it waited for (the set-up
+The output file holds each side's own environment, as its last run recorded
+it (the OpenBLAS library and thread count included, and numpy's SIMD
+dispatch targets, as output bits depend on them), the seeds, every pair's
+end-to-end metrics, failures and output checks, per metric the medians and
+quartiles of each side and the number of pairs the change wins, and per
+side the operations attempted and failed over all pairs.  Each run also
+records its failures by operation label, and each pair prints them.  Each
+run also records, per operation label, the median bytes its successful
+operations wrote: a deterministic work counter that machine drift does not
+move.  Each pair prints it, and the summary gives its median over the pairs
+per side.  Each run also records its CPU time, `cpu_s`: the user + system
+time of the benchmark process and of every child it waited for (the set-up
 children that time `setup_s` included), with its wall time, `wall_s`; the
-summary gives each side's CPU seconds per wall second, which tells a
-change of the code from a change of its thread count.  A warning is printed when
+summary gives each side's CPU seconds per wall second, which tells a change
+of the code from a change of its thread count.  A warning is printed when
 the change fails a larger share of its operations than the base, when its
 median of an end-to-end metric is worse than the base's by more than that
 metric's relative `bound` in BENCHMARK.json, or when either side writes
-incorrect outputs.  The change's entry lists the paths that
-differ from its commit, the output file aside.  Runs on another workload
-or seed are merged into the same file under their own key,
-"<workload>/seed<seed>".
+incorrect outputs.  The change's entry lists the paths that differ from its
+commit, the output file aside.  Runs on another workload or seed are merged
+into the same file under their own key, "<workload>/seed<seed>".
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
 
     with open(ROOT / "BENCHMARK.json") as fh:
         metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
-    pairs, traced = [], {}
+    pairs, traced, envs = [], {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         extract(args.base, Path(tmp))
         trees = {"base": Path(tmp) / "base", "change": ROOT}
@@ -221,7 +221,8 @@ def main(argv=None) -> int:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {"first": order[0]}
             for side in order:
-                pair[side], env = run_bench(trees[side], args, 0, args.seconds)
+                pair[side], envs[side] = run_bench(trees[side], args, 0,
+                                                   args.seconds)
             pairs.append(pair)
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{name} {pair['base']['metrics'][name]['value']:.4g} -> "
@@ -233,15 +234,18 @@ def main(argv=None) -> int:
                 print(f"  {side}: {describe(pair[side])}", flush=True)
         for side, seconds in zip(("base", "change"),
                                  args.trace_seconds or ()):
-            traced[side], env = run_bench(trees[side], args, 1, seconds)
+            traced[side], envs[side] = run_bench(trees[side], args, 1,
+                                                 seconds)
             print(f"traced {side}: {traced[side]['passes']} passes",
                   flush=True)
 
+    simd = numpy_simd()
     entry = {"workload": args.workload, "seed": args.seed,
-             "environment": {**env, "numpy_simd": numpy_simd()},
              "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
              "change": {"commit": git("rev-parse", "HEAD"),
                         "uncommitted_changes": uncommitted_changes(args.out)}}
+    for side, env in envs.items():
+        entry[side]["environment"] = {**env, "numpy_simd": simd}
     if pairs:
         entry.update(seconds=args.seconds, summary=summarise(pairs, metrics),
                      failures=failures(pairs),
