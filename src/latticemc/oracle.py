@@ -113,15 +113,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _checked_mode_sums(amplitudes: np.ndarray, scenario: Scenario,
-                       spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """`_mode_sums`, once the joint state holds one row per configuration."""
-    sums = _mode_sums(scenario, spec)
-    if np.ndim(amplitudes) != 2 or len(amplitudes) != len(sums[0]):
-        raise ValueError("joint state needs one row per configuration")
-    return sums
-
-
 def _propagators(model: ProbeModel, d10: np.ndarray, d11: np.ndarray,
                  durations: np.ndarray, n_levels: int) -> np.ndarray:
     """exp(G_q d_k) for each duration d_k and configuration q, (k, q, n, n).
@@ -176,7 +167,9 @@ def apply_jump(amplitudes: np.ndarray) -> np.ndarray:
 def z_marginal(amplitudes: np.ndarray, scenario: Scenario,
                spec: LatticeSpec) -> ZDistribution:
     """Probability of each z, summed over photons and same-z configurations."""
-    d10 = _checked_mode_sums(amplitudes, scenario, spec)[0]
+    d10 = _mode_sums(scenario, spec)[0]
+    if np.ndim(amplitudes) != 2 or len(amplitudes) != len(d10):
+        raise ValueError("joint state needs one row per configuration")
     grid = np.asarray(scenario_geometry(scenario, spec).z_grid)
     per_config = (np.abs(amplitudes) ** 2).sum(axis=1)
     total = per_config.sum()
@@ -203,7 +196,9 @@ def run_script(amplitudes: np.ndarray, model: ProbeModel, spec: LatticeSpec,
     durations = np.diff(np.array([0.0, *times, t_end], dtype=float))
     if (durations < 0).any():
         raise ValueError("duration must be >= 0")
-    d10, d11 = _checked_mode_sums(amplitudes, model.scenario, spec)
+    d10, d11 = _mode_sums(model.scenario, spec)
+    if np.ndim(amplitudes) != 2 or len(amplitudes) != len(d10):
+        raise ValueError("joint state needs one row per configuration")
     props = _propagators(model, d10, d11, durations, amplitudes.shape[1])
     for k, (duration, prop) in enumerate(zip(durations, props)):
         if duration != 0:

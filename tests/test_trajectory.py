@@ -1035,19 +1035,6 @@ def test_run_ensemble_rejects_a_zero_drive():
                                 max_tau=1.0)
 
 
-def test_run_ensemble_rejects_expected_counts_past_2_62():
-    """The largest expected count on the grid, tau z_max^2 here, stays within
-    2^62, so the int64 record cannot wrap: at 4.6e14 every record is a
-    nondecreasing count, and at 4.7e14 the run is refused."""
-    p0 = superfluid_atom_number(SPEC)
-    run = trajectory.run_ensemble(p0, max_model(), [1, 2], max_tau=4.6e14,
-                                  stop_fwhm=0.0)
-    assert (np.diff(run.m, axis=1) >= 0).all() and (run.m[:, -1] > 0).all()
-    with pytest.raises(ValueError, match=r"more than 2\^62"):
-        trajectory.run_ensemble(p0, max_model(), [1], max_tau=4.7e14,
-                                stop_fwhm=0.0)
-
-
 def test_classify_reads_only_dist_m_t_and_tau():
     """Finished records classify again from a namespace holding only the
     final state's dist, m, t and tau, as the benchmark's output check
@@ -1347,6 +1334,8 @@ def test_run_trajectory_validation():
      r"snapshots must lie in \[0, max_tau\]"),
     ({"max_tau": np.nan}, "max_tau must be finite and > 0"),
     ({"max_tau": np.inf}, "max_tau must be finite and > 0"),
+    # expected counts tau z_max^2 = 4.7e18 at z = 100: past 2^62
+    ({"max_tau": 4.7e14}, r"expected counts reach 4\.7e\+18, more than 2\^62"),
 ])
 def test_run_ensemble_rejects_bad_grid_arguments(kwargs, match):
     with pytest.raises(ValueError, match=match):
