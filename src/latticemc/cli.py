@@ -129,12 +129,11 @@ def parse_config(text: str, flags: dict[str, str] | None = None) -> RunConfig:
     cfg = RunConfig(**values)
     _check_fields(cfg)
     try:  # the lattice, the scenario's geometry, the initial state, the
-        # grid, and the expected counts on it
-        initial_distribution(cfg)
+        # grid, and the expected counts on the state's z grid
+        p0 = initial_distribution(cfg)
         taus = _recording_grid(cfg.max_tau, cfg.sample_interval_tau,
                                cfg.snapshots)[0]
-        z_grid = scenario_geometry(cfg.scenario, lattice_spec(cfg)).z_grid
-        _stride_times(taus, amplitude_table(probe_model(cfg), z_grid),
+        _stride_times(taus, amplitude_table(probe_model(cfg), p0.z_values),
                       cfg.kappa)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
